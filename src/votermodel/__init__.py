@@ -3,7 +3,6 @@
 __version__ = "0.1.0"
 
 from .montecarlo import (
-    MicroState,
     RunRecord,
     SimulationConfig,
     SimulationReport,
@@ -11,7 +10,6 @@ from .montecarlo import (
     local_time_histogram,
     run_to_consensus,
     simulate,
-    step,
 )
 from .observables import (
     ConsensusMoment,
@@ -25,7 +23,6 @@ from .observables import (
     local_times_oracle,
     moment_exact,
     moment_asymptotic,
-    moment_truncated,
     moment_uniform_bound,
     moments_oracle,
 )

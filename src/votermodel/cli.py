@@ -58,7 +58,10 @@ def _parse_init_distribution(spec, N, mode):
         path = spec.split(":", 1)[1]
         with open(path) as fh:
             tokens = fh.read().split()
-        values = [Fraction(tok) for tok in tokens]
+        try:
+            values = [Fraction(tok) for tok in tokens]
+        except ZeroDivisionError as exc:
+            raise UsageError(f"init file {path!r} has a zero denominator") from exc
         return pg.make_distribution(values, mode=mode)
     raise UsageError(
         f"unrecognized init spec {spec!r}; expected delta:<j>, uniform, "
@@ -179,7 +182,6 @@ def cmd_moments(args):
         fn = {
             "exact": ob.moment_exact,
             "asymptotic": ob.moment_asymptotic,
-            "truncated": ob.moment_truncated,
         }[args.method]
         for p in range(1, args.p + 1):
             rows.append([str(p), args.method, _fmt(fn(dec, coords, p).value)])
@@ -197,6 +199,7 @@ def cmd_local_times(args):
     mode = _auto_mode(N)
     params = [("n", N), ("init", args.init), ("method", args.method), ("mode", mode)]
     if args.method == "greens":
+        sp._check_population(N)
         if args.init == "uniform":
             f = "uniform"
         elif args.init.startswith("density:"):
@@ -320,7 +323,7 @@ def build_parser():
     p.add_argument("--init", required=True)
     p.add_argument("--p", type=int, required=True, help="highest moment order")
     p.add_argument(
-        "--method", choices=["exact", "asymptotic", "oracle", "truncated"],
+        "--method", choices=["exact", "asymptotic", "oracle"],
         default="exact",
     )
     p.add_argument("--out")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,19 +25,6 @@ CAP_FACTOR = 100
 
 class UnsupportedObservableError(ValueError):
     """Raised for observables defined only on specific topologies."""
-
-
-@dataclass
-class MicroState:
-    """Binary opinion vector plus incrementally maintained counts."""
-
-    states: list
-    n_A: int
-    #: occupation count per degree class {degree: number of A-nodes}
-    alpha: dict
-
-    def is_consensus(self, N):
-        return self.n_A == 0 or self.n_A == N
 
 
 @dataclass(frozen=True)
@@ -64,6 +51,8 @@ class RunRecord:
     censored: bool
     fixated: bool  # ended at all-A
     initial_count: int
+    #: number of A-nodes when the run stopped (at consensus or the cap)
+    final_count: int
     visits: tuple | None = None
 
 
@@ -140,53 +129,6 @@ def _initial_states(topo, init, rng):
     return states, count
 
 
-def make_microstate(topo, init, rng):
-    states, n_a = _initial_states(topo, init, rng)
-    alpha = {}
-    for deg, s in zip(topo.degrees, states):
-        if s:
-            alpha[deg] = alpha.get(deg, 0) + 1
-    return MicroState(states=states, n_A=n_a, alpha=alpha)
-
-
-def audit_counts(state, topo):
-    """Debug check that the incremental counts match the state vector."""
-    n_a = sum(state.states)
-    alpha = {}
-    for deg, s in zip(topo.degrees, state.states):
-        if s:
-            alpha[deg] = alpha.get(deg, 0) + 1
-    return state.n_A == n_a and {k: v for k, v in state.alpha.items() if v} == alpha
-
-
-def step(state, topo, rng):
-    """One voter iteration in place; returns the same MicroState.
-
-    The iteration counts even when the copied state equals the current one.
-    """
-    N = topo.N
-    i = int(rng.integers(0, N))
-    if topo.kind == COMPLETE:
-        j = int(rng.integers(1, N))
-        j = (i + j) % N
-    elif topo.kind == BIPARTITE:
-        n1 = topo.groups[0]
-        if i < n1:
-            j = n1 + int(rng.integers(0, topo.N - n1))
-        else:
-            j = int(rng.integers(0, n1))
-    else:
-        lo, hi = topo.indptr[i], topo.indptr[i + 1]
-        j = topo.indices[lo + int(rng.integers(0, hi - lo))]
-    si, sj = state.states[i], state.states[j]
-    if si != sj:
-        state.states[i] = sj
-        state.n_A += sj - si
-        deg = topo.degrees[i]
-        state.alpha[deg] = state.alpha.get(deg, 0) + sj - si
-    return state
-
-
 def run_to_consensus(config, replica):
     """Simulate one replica to unanimity (or the censoring cap).
 
@@ -251,6 +193,7 @@ def run_to_consensus(config, replica):
         censored=censored,
         fixated=n_a == N,
         initial_count=initial,
+        final_count=n_a,
         visits=tuple(visits) if track else None,
     )
 

@@ -172,37 +172,6 @@ def moment_uniform_bound(decomp, p):
     return factorial(p) * lam2**p / (1 - lam2) ** p
 
 
-def moment_truncated(decomp, coords, p, rel_tol=1e-12):
-    """Direct summation of ``sum_m q_m m^p`` with a certified tail cutoff.
-
-    Float-only diagnostic route; truncates once the geometric tail bound
-    drops below ``rel_tol`` of the accumulated value.
-    """
-    _check_moment_args(coords, p)
-    N = decomp.N
-    s = [float(v) for v in s_coefficients(decomp, coords)]
-    lams = [float(pair.lam) for pair in decomp.pairs[2:]]
-    lam2 = lams[0]
-    acc = 0.0
-    powers = [1.0] * len(lams)  # lambda_k^(m-1)
-    m = 0
-    while True:
-        m += 1
-        qm = sum(sk * pw for sk, pw in zip(s, powers)) / N
-        acc += qm * m**p
-        for i, lam in enumerate(lams):
-            powers[i] *= lam
-        # past the hump the term ratio is below r < 1; bound the tail
-        if m > 2 * p / (1.0 - lam2):
-            r = lam2 * (1.0 + 1.0 / m) ** p
-            term = abs(qm) * m**p
-            if r < 1 and term * r / (1.0 - r) < rel_tol * abs(acc):
-                break
-        if m > 10_000_000:
-            raise RuntimeError("truncated moment sum failed to converge")
-    return ConsensusMoment(p=p, value=acc, method="truncated-series")
-
-
 # ---------------------------------------------------------------------------
 # Fundamental-matrix oracle
 # ---------------------------------------------------------------------------

@@ -19,8 +19,6 @@ import numpy as np
 from .spectral import (
     EXACT,
     FLOAT,
-    NormalizationError,
-    SpectralDecomposition,
     _check_mode,
     _check_population,
     _validate_distribution,
@@ -189,19 +187,3 @@ def limit_distribution(decomp, coords):
     a[0] = d0
     a[N] = d1
     return MacrostateDistribution(a=tuple(a))
-
-
-def clamp_small_negatives(values, floor=-1e-12):
-    """Zero out float round-off negatives at output boundaries only.
-
-    Anything below ``floor`` indicates a real bug and raises instead of
-    being hidden.
-    """
-    out = []
-    for v in values:
-        if v < 0:
-            if v < floor:
-                raise NormalizationError(f"negative probability {v!r} exceeds round-off budget")
-            v = 0.0
-        out.append(v)
-    return type(values)(out) if isinstance(values, tuple) else out

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 from numbers import Integral
 
@@ -26,8 +25,12 @@ import numpy as np
 EXACT = "exact"
 FLOAT = "float"
 
-#: largest N for which exact pairs are cached (they are ~O(N^2) big rationals)
+#: exact pairs are ~O(N^2) big rationals: every N up to this size stays
+#: cached, while above it only the most recently built N is kept
 _CACHE_MAX = 64
+
+#: exact eigenpairs by population size, under the _CACHE_MAX policy
+_pairs_cache = {}
 
 
 class InvalidPopulationError(ValueError):
@@ -38,7 +41,7 @@ class NormalizationError(ValueError):
     """Raised when an input vector is not a valid probability distribution."""
 
 
-class NumericOverflowError(OverflowError):
+class NumericOverflowError(OverflowError, ValueError):
     """Raised when coefficients exceed the float range; use exact mode."""
 
 
@@ -220,32 +223,17 @@ def _verify_residual(N, k, c_ints):
             )
 
 
-def _exact_pairs_uncached(N):
-    pairs = [_consensus_pair(N, 0), _consensus_pair(N, 1)]
-    pairs.extend(_interior_pair(N, k) for k in range(2, N + 1))
-    return tuple(pairs)
-
-
-@lru_cache(maxsize=None)
-def _exact_pairs_cached(N):
-    return _exact_pairs_uncached(N)
-
-
 def _exact_pairs(N):
-    if N <= _CACHE_MAX:
-        return _exact_pairs_cached(N)
-    return _large_pairs(N)
-
-
-# decompositions above the lru cache cutoff are big; keep only the last one
-_large_cache = {}
-
-
-def _large_pairs(N):
-    if N not in _large_cache:
-        _large_cache.clear()
-        _large_cache[N] = _exact_pairs_uncached(N)
-    return _large_cache[N]
+    pairs = _pairs_cache.get(N)
+    if pairs is None:
+        if N > _CACHE_MAX:
+            # free the previous large N first, so two never coexist in memory
+            for n in [n for n in _pairs_cache if n > _CACHE_MAX]:
+                del _pairs_cache[n]
+        pairs = [_consensus_pair(N, 0), _consensus_pair(N, 1)]
+        pairs.extend(_interior_pair(N, k) for k in range(2, N + 1))
+        pairs = _pairs_cache[N] = tuple(pairs)
+    return pairs
 
 
 def build_decomposition(N, mode=EXACT):

@@ -173,6 +173,8 @@ def from_edge_list(lines):
             raise ValueError(f"self-loop at node {i}")
         if not (0 <= i < N and 0 <= j < N):
             raise ValueError(f"edge ({i}, {j}) outside node range 0..{N - 1}")
+        if j in adj[i]:
+            raise ValueError(f"duplicate edge ({i}, {j})")
         adj[i].add(j)
         adj[j].add(i)
         count += 1

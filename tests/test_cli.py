@@ -3,6 +3,11 @@
 import pytest
 
 from votermodel import cli
+from votermodel import montecarlo as mc
+from votermodel import observables as ob
+from votermodel import propagator as pg
+from votermodel import spectral as sp
+from votermodel import topology as tp
 from votermodel import validate as vl
 
 
@@ -129,6 +134,15 @@ class TestLocalTimes:
         assert header == "rho,M"
         assert all(float(row.split(",")[1]) == pytest.approx(5.0) for row in rows)
 
+    @pytest.mark.parametrize("n", ["1", "-5"])
+    def test_greens_rejects_invalid_population(self, capsys, n):
+        code, out, err = run(
+            capsys, "local-times", "--n", n, "--init", "uniform", "--method", "greens"
+        )
+        assert code == 2
+        assert out == ""
+        assert "population size" in err
+
     def test_greens_rejects_file_init(self, capsys):
         code, _, _ = run(
             capsys, "local-times", "--n", "10", "--init", "file:x", "--method", "greens"
@@ -196,6 +210,16 @@ class TestSimulate:
         assert code == 2
         assert "topology" in err
 
+    def test_duplicate_edge_file_rejected(self, tmp_path, capsys):
+        graph = tmp_path / "g.txt"
+        graph.write_text("3 3\n0 1\n0 1\n1 2\n")
+        code, _, err = run(
+            capsys, "simulate", "--topology", f"file:{graph}", "--init", "delta:1",
+            "--runs", "1", "--seed", "0",
+        )
+        assert code == 2
+        assert "duplicate edge" in err
+
     def test_unconnectable_graph_exit_code(self, capsys):
         code, _, err = run(
             capsys, "simulate", "--topology", "er:60,0.005", "--init", "density:0.5",
@@ -232,3 +256,49 @@ class TestValidate:
         with pytest.raises(SystemExit):
             cli.main(["validate", "--suite", "bogus"])
         capsys.readouterr()
+
+
+def _raise(exc):
+    def raiser(*args, **kwargs):
+        raise exc("injected failure")
+
+    return raiser
+
+
+MOMENTS = ("moments", "--n", "6", "--init", "delta:3", "--p", "2")
+SIMULATE = ("simulate", "--init", "delta:3", "--runs", "2", "--seed", "0")
+
+
+#: (exception, function patched to raise it, command, exit code)
+CONTRACT = [
+    (sp.InvalidPopulationError, (sp, "build_decomposition"), ("spectrum", "--n", "4"), 2),
+    (sp.NormalizationError, (sp, "to_coordinates"), MOMENTS, 2),
+    (sp.NumericOverflowError, (sp, "build_decomposition"),
+     ("spectrum", "--n", "4", "--mode", "float"), 2),
+    (pg.OracleLimitError, (pg, "dense_oracle"),
+     ("propagate", "--n", "4", "--init", "delta:2", "--steps", "1", "--method", "direct"), 2),
+    (ob.UndefinedMomentError, (ob, "moments_oracle"), MOMENTS + ("--method", "oracle"), 2),
+    (mc.UnsupportedObservableError, (mc, "simulate"),
+     SIMULATE + ("--topology", "complete:6"), 2),
+    (tp.GraphGenerationError, (tp, "generate_er"), SIMULATE + ("--topology", "er:6,0.5"), 1),
+    (cli.UsageError, (cli, "_parse_init_distribution"), MOMENTS, 2),
+    # raised by the real input: Fraction("1/0") in a file: init spec
+    (ZeroDivisionError, None, ("moments", "--n", "4", "--init", "ZERO_DEN", "--p", "1"), 2),
+]
+
+
+@pytest.mark.parametrize(
+    "exc, target, argv, code", CONTRACT, ids=[row[0].__name__ for row in CONTRACT]
+)
+def test_error_contract(exc, target, argv, code, tmp_path, monkeypatch, capsys):
+    init = tmp_path / "a0.txt"
+    init.write_text("1/0 1 0 0 0\n")
+    argv = [f"file:{init}" if a == "ZERO_DEN" else a for a in argv]
+    if target is not None:
+        monkeypatch.setattr(*target, _raise(exc))
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("votermodel: error:")
+    assert "Traceback" not in err

@@ -19,17 +19,10 @@ from votermodel import (
     propagate_spectral,
     run_to_consensus,
     simulate,
-    step,
     to_coordinates,
     transition_rates,
 )
-from votermodel.montecarlo import (
-    UnsupportedObservableError,
-    audit_counts,
-    linear_fit,
-    make_microstate,
-    replica_rng,
-)
+from votermodel.montecarlo import UnsupportedObservableError, linear_fit
 
 
 def config(topo, init, runs, seed, **kw):
@@ -62,26 +55,20 @@ class TestMicroDynamics:
 
     def test_step_maintains_counts(self):
         topo = generate_er(25, 0.3, seed=4)
-        rng = replica_rng(17, 0)
-        state = make_microstate(topo, ("count", 10), rng)
-        for _ in range(200):
-            step(state, topo, rng)
-            assert audit_counts(state, topo)
+        for m in range(1, 201):
+            rec = run_to_consensus(config(topo, ("count", 10), 1, seed=17, max_steps=m), 0)
+            assert rec.steps <= m
+            assert 0 <= rec.final_count <= topo.N
+            assert rec.censored == (0 < rec.final_count < topo.N)
+            assert rec.fixated == (rec.final_count == topo.N)
 
     def test_single_step_frequencies_match_rates(self):
         # P(n -> n±1) = p_j each; binomial 4-sigma gate on 4000 fresh trials
         N, j, trials = 10, 3, 4000
-        topo = generate_complete(N)
-        rng = replica_rng(123, 0)
+        cfg = config(generate_complete(N), ("count", j), 1, seed=123, max_steps=1)
         p_j = float(transition_rates(N, FLOAT)[j])
-        up = down = 0
-        for _ in range(trials):
-            state = make_microstate(topo, ("count", j), rng)
-            step(state, topo, rng)
-            if state.n_A == j + 1:
-                up += 1
-            elif state.n_A == j - 1:
-                down += 1
+        ends = [run_to_consensus(cfg, r).final_count for r in range(trials)]
+        up, down = ends.count(j + 1), ends.count(j - 1)
         sigma = math.sqrt(trials * p_j * (1 - p_j))
         assert abs(up - trials * p_j) <= 4 * sigma
         assert abs(down - trials * p_j) <= 4 * sigma
@@ -95,29 +82,30 @@ class TestMicroDynamics:
         assert abs(wins - runs * rho) <= 4 * sigma
 
     def test_bipartite_neighbors_stay_across_groups(self):
-        topo = generate_bipartite(3, 7)
-        rng = replica_rng(8, 0)
-        state = make_microstate(topo, ("groups", 2, 3), rng)
-        assert state.n_A == 5
-        for _ in range(100):
-            step(state, topo, rng)
-            assert audit_counts(state, topo)
+        # a node copies a uniform neighbour from the other group, so with
+        # a1 of n1 and a2 of n2 nodes in state A:
+        # P(up) = (n1-a1)/N a2/n2 + (n2-a2)/N a1/n1, and mirrored for down
+        n1, n2, a1, a2, trials = 3, 7, 2, 3, 4000
+        N = n1 + n2
+        cfg = config(generate_bipartite(n1, n2), ("groups", a1, a2), 1, seed=8, max_steps=1)
+        ends = [run_to_consensus(cfg, r).final_count for r in range(trials)]
+        rates = {
+            a1 + a2 + 1: (n1 - a1) / N * a2 / n2 + (n2 - a2) / N * a1 / n1,
+            a1 + a2 - 1: a1 / N * (n2 - a2) / n2 + a2 / N * (n1 - a1) / n1,
+        }
+        for end, rate in rates.items():
+            sigma = math.sqrt(trials * rate * (1 - rate))
+            assert abs(ends.count(end) - trials * rate) <= 4 * sigma
 
 
 class TestAgainstExactSolution:
     def test_macrostate_distribution_at_fixed_step(self):
         # empirical occupation at m = 40 vs the spectral m-step distribution
         N, j0, m, runs = 12, 6, 40, 3000
-        topo = generate_complete(N)
+        cfg = config(generate_complete(N), ("count", j0), 1, seed=777, max_steps=m)
         counts = np.zeros(N + 1)
         for r in range(runs):
-            rng = replica_rng(777, r)
-            state = make_microstate(topo, ("count", j0), rng)
-            for _ in range(m):
-                if state.is_consensus(N):
-                    break
-                step(state, topo, rng)
-            counts[state.n_A] += 1
+            counts[run_to_consensus(cfg, r).final_count] += 1
         dec = build_decomposition(N, FLOAT)
         a0 = delta_distribution(N, j0, FLOAT)
         exact = np.array(propagate_spectral(dec, to_coordinates(dec, a0), m).a)

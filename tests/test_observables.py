@@ -19,7 +19,6 @@ from votermodel import (
     local_times_oracle,
     moment_exact,
     moment_asymptotic,
-    moment_truncated,
     moment_uniform_bound,
     moments_oracle,
     to_coordinates,
@@ -94,15 +93,6 @@ class TestMoments:
         spectral = moment_exact(dec, coords, p).value
         oracle = moments_oracle(transition_operator(N), a0, p).value
         assert spectral == oracle
-
-    def test_truncated_matches_exact(self):
-        N = 30
-        a0 = delta_distribution(N, 15, FLOAT)
-        dec, coords = coords_for(N, a0, FLOAT)
-        for p in (1, 2, 4):
-            exact = moment_exact(dec, coords, p).value
-            trunc = moment_truncated(dec, coords, p).value
-            assert abs(trunc - exact) <= 1e-9 * abs(exact)
 
     def test_asymptotic_equals_exact_at_p1(self):
         dec, coords = coords_for(12, delta_distribution(12, 5))

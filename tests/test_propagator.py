@@ -22,7 +22,7 @@ from votermodel import (
     transition_rates,
     uniform_distribution,
 )
-from votermodel.propagator import OracleLimitError, clamp_small_negatives
+from votermodel.propagator import OracleLimitError
 
 
 def random_exact_distribution(weights):
@@ -156,8 +156,3 @@ class TestValidation:
     def test_make_distribution_rejects_negative(self):
         with pytest.raises(NormalizationError):
             make_distribution([Fraction(3, 2), Fraction(-1, 2), 0, 0, 0])
-
-    def test_clamp_small_negatives(self):
-        assert clamp_small_negatives([0.5, -1e-14, 0.5]) == [0.5, 0.0, 0.5]
-        with pytest.raises(NormalizationError):
-            clamp_small_negatives([0.5, -1e-6, 0.5])

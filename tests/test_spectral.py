@@ -6,6 +6,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from votermodel import spectral
 from votermodel import (
     EXACT,
     FLOAT,
@@ -156,6 +157,24 @@ class TestBuildDecomposition:
             c = np.array(pair.c)
             resid = np.abs(T @ c - pair.lam * c).max() / np.abs(c).max()
             assert resid <= 1e-9
+
+    def test_cache_keeps_small_n_and_one_large_n(self, monkeypatch):
+        built = []
+
+        def counting_pair(N, k):
+            if k == 2:
+                built.append(N)
+
+        monkeypatch.setattr(spectral, "_pairs_cache", {})
+        monkeypatch.setattr(spectral, "_interior_pair", counting_pair)
+        for N in (100, 4, 12, 32, 100):
+            spectral._exact_pairs(N)
+        assert built == [100, 4, 12, 32]
+        # a second large N evicts the first; the small ones stay
+        for N in (80, 100, 4, 12, 32):
+            spectral._exact_pairs(N)
+        assert built == [100, 4, 12, 32, 80, 100]
+        assert sorted(spectral._pairs_cache) == [4, 12, 32, 100]
 
 
 class TestCoordinates:

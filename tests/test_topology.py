@@ -101,6 +101,8 @@ class TestEdgeListFormat:
             ["3 2", "0 1", "1 5"],  # out of range
             ["3 3", "0 1", "1 2"],  # count mismatch
             ["4 3", "0 1", "1 0", "2 3"],  # duplicate edge and disconnected
+            ["3 3", "0 1", "0 1", "1 2"],  # duplicate edge, connected
+            ["3 3", "0 1", "1 0", "1 2"],  # reversed duplicate, connected
         ],
     )
     def test_rejects_malformed(self, lines):
