@@ -3,21 +3,27 @@
 On the complete graph with ``N`` nodes, the number of opinion-A holders
 performs a lazy birth-death walk with rates ``p_j = j(N-j)/(N(N-1))`` and
 absorbing boundaries at 0 and N.  The transition operator diagonalizes in
-closed form: eigenvalues ``lambda_k = 1 - k(k-1)/(N(N-1))``, eigenvectors
-obtained from a one-term recurrence in the shifted basis ``u = x - y``
-followed by a signed binomial (Pascal) transform.
+closed form: eigenvalues ``lambda_k = 1 - k(k-1)/(N(N-1))``.  In the
+shifted basis ``u = x - y`` the operator is lower bidiagonal, so the
+u-basis eigenvectors b (one-term recurrence) and the left eigenvectors
+(product form) are explicit.  The macrostate eigenvectors c are the signed
+binomial (Pascal) transform of b; they are computed here from the
+eigen-equation itself, read as a three-term recurrence, and every pair is
+re-checked against all rows of that equation.
 
-Everything here is computed in exact rational arithmetic; ``float`` mode
-rounds the exact coefficients once at the end.  The alternating signs in
-the Pascal transform make a direct floating-point evaluation useless for
-moderate N, so there is no "native float" pipeline on purpose.
+Everything is computed in integer arithmetic with denominators cleared.
+Exact mode turns the integers into Fractions; float mode rounds each ratio
+once (Python's int true division is correctly rounded), so it gives the
+same doubles as rounding the exact Fractions.  The alternating signs of c
+make a direct floating-point evaluation useless for moderate N, so there
+is no "native float" pipeline on purpose.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from numbers import Integral
 
 import numpy as np
@@ -25,11 +31,12 @@ import numpy as np
 EXACT = "exact"
 FLOAT = "float"
 
-#: exact pairs are ~O(N^2) big rationals: every N up to this size stays
-#: cached, while above it only the most recently built N is kept
+#: pairs are ~O(N^2) numbers (big rationals in exact mode): every N up to
+#: this size stays cached, while above it only the most recently built N is
+#: kept (in both modes)
 _CACHE_MAX = 64
 
-#: exact eigenpairs by population size, under the _CACHE_MAX policy
+#: eigenpairs keyed by (N, mode), under the _CACHE_MAX policy
 _pairs_cache = {}
 
 
@@ -92,18 +99,18 @@ def _check_mode(mode):
     return mode
 
 
-def _to_float(value, what):
+def _to_float(num, den, what):
+    """``num / den`` as the nearest double.
+
+    Python's int true division is correctly rounded, so this equals
+    ``float(Fraction(num, den))`` without building the Fraction.
+    """
     try:
-        out = float(value)
+        return num / den
     except OverflowError as exc:
         raise NumericOverflowError(
             f"{what} exceeds the double-precision range; use exact mode"
         ) from exc
-    if out in (float("inf"), float("-inf")):
-        raise NumericOverflowError(
-            f"{what} exceeds the double-precision range; use exact mode"
-        )
-    return out
 
 
 def eigenvalue(N, k):
@@ -141,7 +148,7 @@ def b_coefficients(N, k):
 def _b_integers(N, k):
     """b-coefficients with denominators cleared: returns (D*b_j as ints, D).
 
-    D is the full denominator product, so the transform to c can stay in
+    D is the full denominator product, so the eigenvector c can stay in
     integer arithmetic (big-int products are far cheaper than repeated
     Fraction normalization).
     """
@@ -158,8 +165,34 @@ def _b_integers(N, k):
     return ints, den
 
 
+def _c_integers(N, k, top):
+    """D*c for pair k >= 2 from the eigen-equation, given D*c_N = D*b_N = top.
+
+    Row j of N(N-1) * (P - lambda_k I) c = 0, with K = k(k-1), reads
+    ``(j-1)(N-j+1) c_{j-1} = (2j(N-j) - K) c_j - (j+1)(N-j-1) c_{j+1}``;
+    rows N, N-1, ..., 2 give c_{N-1}, ..., c_1 and row 0 gives
+    ``c_0 = -(N-1) c_1 / K``.  D*c is the signed Pascal transform of the
+    integers D*b, so every division is exact; row 1 is left unused, and
+    _verify_residual re-checks all rows.
+    """
+    K = k * (k - 1)
+    c = [0] * (N + 1)
+    c[N] = top
+    c[N - 1] = -K * top // (N - 1)
+    for j in range(N - 1, 1, -1):
+        c[j - 1] = (
+            (2 * j * (N - j) - K) * c[j] - (j + 1) * (N - j - 1) * c[j + 1]
+        ) // ((j - 1) * (N - j + 1))
+    c[0] = -(N - 1) * c[1] // K
+    return c
+
+
 def binomial_transform(b):
-    """Signed Pascal transform ``c_j = sum_{i>=j} (-1)^(i-j) b_i C(i,j)``."""
+    """Signed Pascal transform ``c_j = sum_{i>=j} (-1)^(i-j) b_i C(i,j)``.
+
+    This is the paper's route from b to c; the eigenpair build uses the
+    eigen-equation instead, and the tests compare the two.
+    """
     n = len(b) - 1
     return tuple(
         sum((-1) ** (i - j) * b[i] * comb(i, j) for i in range(j, n + 1))
@@ -171,36 +204,51 @@ def inverse_binomial_transform(c):
     """Unsigned Pascal transform ``b_j = sum_{i>=j} c_i C(i,j)``.
 
     Exact inverse of :func:`binomial_transform` (Pascal-matrix involution).
+    The b_j are the coefficients of ``sum_i c_i (1+x)^i``, expanded by
+    Horner's rule with additions only.
     """
-    n = len(c) - 1
-    return tuple(
-        sum(c[i] * comb(i, j) for i in range(j, n + 1)) for j in range(n + 1)
+    b = []
+    for ci in reversed(c):
+        b = [ci + b[0], *(x + y for x, y in zip(b, b[1:])), b[-1]] if b else [ci]
+    return tuple(b)
+
+
+def _make_pair(N, k, lam, b_ints, c_ints, den, mode):
+    """EigenPair with b = b_ints / den and c = c_ints / den in ``mode``."""
+    if mode == EXACT:
+        return EigenPair(
+            k=k, lam=lam,
+            b=tuple(Fraction(v, den) for v in b_ints),
+            c=tuple(Fraction(v, den) for v in c_ints),
+        )
+    b_what = f"b-coefficient (N={N}, k={k})"
+    c_what = f"eigenvector component (N={N}, k={k})"
+    return EigenPair(
+        k=k, lam=float(lam),
+        b=tuple(_to_float(v, den, b_what) for v in b_ints),
+        c=tuple(_to_float(v, den, c_what) for v in c_ints),
     )
 
 
-def _consensus_pair(N, k):
+def _consensus_pair(N, k, mode):
     """The two lambda = 1 eigenvectors, fixed as the absorbing indicators.
 
     The b-recurrence is degenerate for k in {0, 1}; the indicator choice
     e_0 / e_N makes the first two eigencoordinates the asymptotic consensus
-    probabilities.
+    probabilities.  Their u-basis coefficients are b = e_0 and
+    ``b_j = C(N, j)``.
     """
-    c = [Fraction(0)] * (N + 1)
-    c[0 if k == 0 else N] = Fraction(1)
-    b = inverse_binomial_transform(c)
-    return EigenPair(k=k, lam=Fraction(1), b=tuple(b), c=tuple(c))
+    c = [0] * (N + 1)
+    c[0 if k == 0 else N] = 1
+    b = c if k == 0 else [comb(N, j) for j in range(N + 1)]
+    return _make_pair(N, k, Fraction(1), b, c, 1, mode)
 
 
-def _interior_pair(N, k):
+def _interior_pair(N, k, mode):
     b_ints, den = _b_integers(N, k)
-    c_ints = [
-        sum((-1) ** (i - j) * b_ints[i] * comb(i, j) for i in range(max(j, k), N + 1))
-        for j in range(N + 1)
-    ]
-    b = tuple(Fraction(v, den) for v in b_ints)
-    c = tuple(Fraction(v, den) for v in c_ints)
+    c_ints = _c_integers(N, k, b_ints[N])
     _verify_residual(N, k, c_ints)
-    return EigenPair(k=k, lam=eigenvalue(N, k), b=b, c=c)
+    return _make_pair(N, k, eigenvalue(N, k), b_ints, c_ints, den, mode)
 
 
 def _verify_residual(N, k, c_ints):
@@ -223,42 +271,30 @@ def _verify_residual(N, k, c_ints):
             )
 
 
-def _exact_pairs(N):
-    pairs = _pairs_cache.get(N)
-    if pairs is None:
-        if N > _CACHE_MAX:
-            # free the previous large N first, so two never coexist in memory
-            for n in [n for n in _pairs_cache if n > _CACHE_MAX]:
-                del _pairs_cache[n]
-        pairs = [_consensus_pair(N, 0), _consensus_pair(N, 1)]
-        pairs.extend(_interior_pair(N, k) for k in range(2, N + 1))
-        pairs = _pairs_cache[N] = tuple(pairs)
-    return pairs
-
-
 def build_decomposition(N, mode=EXACT):
     """Full spectral decomposition for population N.
 
     Pairs k = 0, 1 are the consensus indicators e_0 and e_N with
-    eigenvalue 1; pairs k = 2..N come from the b-recurrence and the signed
-    Pascal transform.  Every pair is verified against the eigen-equation
-    exactly during construction.
+    eigenvalue 1; pairs k = 2..N come from the b-recurrence and the
+    three-term eigen-equation recurrence for c, in cleared-denominator
+    integers.  Every interior pair is verified against the eigen-equation
+    exactly during construction, in both modes.  Float pairs are rounded
+    from those integers directly (no Fractions), in k order, so an N whose
+    coefficients overflow a double fails at the consensus pair k = 1.
+    Pairs are cached per (N, mode).
     """
     N = _check_population(N)
     _check_mode(mode)
-    pairs = _exact_pairs(N)
-    if mode == EXACT:
-        return SpectralDecomposition(N=N, mode=EXACT, pairs=pairs)
-    fpairs = tuple(
-        EigenPair(
-            k=p.k,
-            lam=float(p.lam),
-            b=tuple(_to_float(v, f"b-coefficient (N={N}, k={p.k})") for v in p.b),
-            c=tuple(_to_float(v, f"eigenvector component (N={N}, k={p.k})") for v in p.c),
-        )
-        for p in pairs
-    )
-    return SpectralDecomposition(N=N, mode=FLOAT, pairs=fpairs)
+    pairs = _pairs_cache.get((N, mode))
+    if pairs is None:
+        if N > _CACHE_MAX:
+            # free the previous large N first, so two never coexist in memory
+            for key in [key for key in _pairs_cache if key[0] > _CACHE_MAX and key[0] != N]:
+                del _pairs_cache[key]
+        pairs = [_consensus_pair(N, 0, mode), _consensus_pair(N, 1, mode)]
+        pairs.extend(_interior_pair(N, k, mode) for k in range(2, N + 1))
+        pairs = _pairs_cache[N, mode] = tuple(pairs)
+    return SpectralDecomposition(N=N, mode=mode, pairs=pairs)
 
 
 def _validate_distribution(a, N, mode):
@@ -286,28 +322,35 @@ def _validate_distribution(a, N, mode):
 def to_coordinates(decomp, a0):
     """Expand an initial distribution in the eigenbasis.
 
-    Works in the u-basis: the unsigned Pascal transform of ``a0`` equals
-    the b-coefficient matrix times d, which is solvable by forward
-    substitution (row 1 pins d_1, row 0 pins d_0, rows j >= 2 are unit
-    triangular in d_j).  The dense eigenvector matrix is never formed.
+    Works in the u-basis, where the unsigned Pascal transform ``t`` of
+    ``a0`` equals ``sum_k d_k b^(k)``.  Row 1 pins ``d_1 = t_1 / N`` and
+    row 0 pins ``d_0 = t_0 - d_1``.  For k >= 2, with K = k(k-1), the left
+    eigenvector of the bidiagonal u-basis operator,
+    ``l_j = prod_{i=j+1}^{k} (i-1)(N-i+1) / ((i-1)(i-2) - K)`` for
+    1 <= j <= k and zero elsewhere, annihilates every other b^(k') and has
+    ``l . b^(k) = 1``, so ``d_k = sum_{j=1}^{k} l_j t_j``.  That sum is
+    evaluated by Horner's rule in integers over the common denominator of
+    ``a0``, with one Fraction per k.  No eigenvector and no dense matrix is
+    read or formed.
     """
     N = decomp.N
     a = getattr(a0, "a", a0)
     vals = _validate_distribution(a, N, decomp.mode)
-    pairs = _exact_pairs(N)
-    atil = inverse_binomial_transform(vals)
-    d = [Fraction(0)] * (N + 1)
-    d[1] = Fraction(atil[1], N)
-    d[0] = atil[0] - d[1]
-    for j in range(2, N + 1):
-        acc = atil[j] - comb(N, j) * d[1]
-        for k in range(2, j):
-            acc -= pairs[k].b[j] * d[k]
-        d[j] = acc
+    L = lcm(*(v.denominator for v in vals))
+    t = inverse_binomial_transform([v.numerator * (L // v.denominator) for v in vals])
+    d = [Fraction(N * t[0] - t[1], N * L), Fraction(t[1], N * L)]
+    for k in range(2, N + 1):
+        K = k * (k - 1)
+        num, den = t[1], 1
+        for i in range(2, k + 1):
+            den *= (i - 1) * (i - 2) - K  # never 0 for i <= k
+            num = t[i] * den + (i - 1) * (N - i + 1) * num
+        d.append(Fraction(num, den * L))
     if decomp.mode == FLOAT:
-        return EigenCoordinates(
-            d=tuple(_to_float(v, f"eigencoordinate d_{k}") for k, v in enumerate(d))
-        )
+        return EigenCoordinates(d=tuple(
+            _to_float(v.numerator, v.denominator, f"eigencoordinate d_{k}")
+            for k, v in enumerate(d)
+        ))
     return EigenCoordinates(d=tuple(d))
 
 

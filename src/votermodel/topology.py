@@ -135,14 +135,15 @@ def generate_er(N, p_link, seed, retries=ER_RETRY_BUDGET):
         raise ValueError(f"link probability must be in (0, 1], got {p_link}")
     if N < 2:
         raise ValueError(f"need N >= 2 nodes, got {N}")
-    pairs = [(i, j) for i in range(N) for j in range(i + 1, N)]
     for attempt in range(retries):
         rng = np.random.default_rng(np.random.SeedSequence((int(seed), attempt)))
-        mask = rng.random(len(pairs)) < p_link
         adj = [[] for _ in range(N)]
-        for (i, j), keep in zip(pairs, mask):
-            if keep:
-                adj[i].append(j)
+        # row i draws the pairs (i, j > i): one stream in np.triu_indices
+        # order, without materializing all N(N-1)/2 pairs at once
+        for i in range(N - 1):
+            row = (np.flatnonzero(rng.random(N - 1 - i) < p_link) + i + 1).tolist()
+            adj[i].extend(row)
+            for j in row:
                 adj[j].append(i)
         if not _is_connected(N, adj):
             continue

@@ -117,6 +117,18 @@ class TestMoments:
         assert code == 2
         assert "interior" in err
 
+    def test_float_overflow_fails_fast(self, capsys):
+        # C(N, j) in the consensus pair k = 1 is the first coefficient to
+        # leave the double range; it is rounded before any interior pair
+        code, out, err = run(capsys, "moments", "--n", "1100", "--init", "uniform", "--p", "1")
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("votermodel: error:")
+        assert "b-coefficient (N=1100, k=1)" in lines[0]
+        assert "exceeds the double-precision range" in lines[0]
+        assert "Traceback" not in err
+
 
 class TestLocalTimes:
     def test_exact_equals_oracle(self, capsys):

@@ -16,10 +16,18 @@ from votermodel import (
     binomial_transform,
     build_decomposition,
     delta_distribution,
+    dense_oracle,
     eigenvalues,
     inverse_binomial_transform,
+    local_times_exact,
+    local_times_oracle,
+    make_distribution,
+    moment_exact,
+    moments_oracle,
+    propagate_spectral,
     reconstruct,
     to_coordinates,
+    transition_operator,
     transition_rates,
     uniform_distribution,
 )
@@ -161,20 +169,31 @@ class TestBuildDecomposition:
     def test_cache_keeps_small_n_and_one_large_n(self, monkeypatch):
         built = []
 
-        def counting_pair(N, k):
+        def counting_pair(N, k, mode):
             if k == 2:
-                built.append(N)
+                built.append((N, mode))
 
         monkeypatch.setattr(spectral, "_pairs_cache", {})
         monkeypatch.setattr(spectral, "_interior_pair", counting_pair)
         for N in (100, 4, 12, 32, 100):
-            spectral._exact_pairs(N)
-        assert built == [100, 4, 12, 32]
+            build_decomposition(N)
+        assert built == [(100, EXACT), (4, EXACT), (12, EXACT), (32, EXACT)]
         # a second large N evicts the first; the small ones stay
+        del built[:]
         for N in (80, 100, 4, 12, 32):
-            spectral._exact_pairs(N)
-        assert built == [100, 4, 12, 32, 80, 100]
-        assert sorted(spectral._pairs_cache) == [4, 12, 32, 100]
+            build_decomposition(N)
+        assert built == [(80, EXACT), (100, EXACT)]
+        assert sorted(spectral._pairs_cache) == [
+            (4, EXACT), (12, EXACT), (32, EXACT), (100, EXACT)
+        ]
+        # both modes of one N coexist, for small and large N alike
+        del built[:]
+        for N, mode in ((100, FLOAT), (4, FLOAT), (100, EXACT), (100, FLOAT), (4, FLOAT)):
+            build_decomposition(N, mode)
+        assert built == [(100, FLOAT), (4, FLOAT)]
+        assert sorted(spectral._pairs_cache) == [
+            (4, EXACT), (4, FLOAT), (12, EXACT), (32, EXACT), (100, EXACT), (100, FLOAT)
+        ]
 
 
 class TestCoordinates:
@@ -223,3 +242,52 @@ class TestCoordinates:
             to_coordinates(dec, [Fraction(1, 2), 0, 0, 0, 0])
         with pytest.raises(NormalizationError):
             to_coordinates(dec, [Fraction(1, 2)] * 4)
+
+
+@st.composite
+def exact_distributions(draw):
+    """A random exact distribution on 0..N for a random N in 2..32."""
+    N = draw(st.integers(min_value=2, max_value=32))
+    weights = draw(st.lists(st.integers(min_value=0, max_value=20), min_size=N + 1,
+                            max_size=N + 1))
+    if sum(weights) == 0:
+        weights[draw(st.integers(min_value=0, max_value=N))] = 1
+    total = sum(weights)
+    return make_distribution([Fraction(w, total) for w in weights])
+
+
+class TestDifferential:
+    """The spectral routes against the independent step-by-step and
+    tridiagonal routes, and the eigenpair build against the Pascal route."""
+
+    @given(exact_distributions(), st.integers(min_value=0, max_value=40))
+    @settings(max_examples=150, deadline=None)
+    def test_spectral_routes_equal_oracles(self, a0, m):
+        N = a0.N
+        dec = build_decomposition(N)
+        coords = to_coordinates(dec, a0)
+        assert reconstruct(dec, coords) == a0.a
+        op = transition_operator(N)
+        assert propagate_spectral(dec, coords, m).a == dense_oracle(op, a0, m).a
+        assert local_times_exact(dec, coords).M == local_times_oracle(op, a0).M
+        if all(v == 0 for v in a0.a[1:N]):
+            return  # no interior mass: the moments are undefined on both routes
+        for p in (1, 2, 3):
+            assert moment_exact(dec, coords, p).value == moments_oracle(op, a0, p).value
+
+    @pytest.mark.parametrize("N", [2, 3, 5, 17, 33, 64])
+    def test_eigenvectors_equal_pascal_transform(self, N):
+        dec = build_decomposition(N)
+        for pair in dec.pairs:
+            if pair.k >= 2:
+                assert pair.b == b_coefficients(N, pair.k)
+            assert pair.c == binomial_transform(pair.b)
+
+    @pytest.mark.parametrize("N", [5, 64, 100])
+    def test_float_pairs_are_rounded_exact_pairs(self, N):
+        exact = build_decomposition(N, EXACT).pairs
+        flo = build_decomposition(N, FLOAT).pairs
+        for e, f in zip(exact, flo, strict=True):
+            assert f.lam == float(e.lam)
+            assert f.b == tuple(float(v) for v in e.b)
+            assert f.c == tuple(float(v) for v in e.c)

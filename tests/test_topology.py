@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from fractions import Fraction
 
@@ -19,8 +20,11 @@ from votermodel import (
 from votermodel.topology import (
     BIPARTITE,
     COMPLETE,
+    ER_RETRY_BUDGET,
     EXPLICIT,
     GraphGenerationError,
+    _csr_from_adjacency,
+    _is_connected,
     entropy_factor,
 )
 
@@ -66,6 +70,32 @@ class TestGenerators:
                         nxt.append(j)
             frontier = nxt
         assert len(seen) == topo.N
+
+    @pytest.mark.parametrize(
+        "N,p_link,seed",
+        [(2, 1.0, 0), (5, 0.9, 1), (60, 0.1, 3), (100, 0.05, 7), (1000, 0.01, 11)],
+    )
+    def test_er_matches_pair_list_draw(self, N, p_link, seed):
+        # reference: one rng.random draw over every pair in np.triu_indices
+        # order, the pair list built in full
+        pairs = [(i, j) for i in range(N) for j in range(i + 1, N)]
+        for attempt in range(ER_RETRY_BUDGET):
+            rng = np.random.default_rng(np.random.SeedSequence((seed, attempt)))
+            mask = rng.random(len(pairs)) < p_link
+            adj = [[] for _ in range(N)]
+            for (i, j), keep in zip(pairs, mask):
+                if keep:
+                    adj[i].append(j)
+                    adj[j].append(i)
+            if _is_connected(N, adj):
+                break
+        else:
+            pytest.fail("reference found no connected graph")
+        indptr, indices = _csr_from_adjacency(N, adj)
+        topo = generate_er(N, p_link, seed=seed)
+        assert topo.indptr == indptr
+        assert topo.indices == indices
+        assert topo.degrees == tuple(indptr[i + 1] - indptr[i] for i in range(N))
 
     def test_er_retry_exhaustion(self):
         # at this density a connected 50-node sample is overwhelmingly unlikely
