@@ -141,8 +141,8 @@ def cmd_propagate(args):
     N = args.n
     mode = _auto_mode(N, args.steps)
     a0 = _parse_init_distribution(args.init, N, mode)
-    dec = sp.build_decomposition(N, mode)
     if args.method == "spectral":
+        dec = sp.build_decomposition(N, mode)
         coords = sp.to_coordinates(dec, a0)
         dist = pg.propagate_spectral(dec, coords, args.steps)
     else:
@@ -175,7 +175,8 @@ def cmd_moments(args):
     if args.method == "oracle":
         op = pg.transition_operator(N, mode)
         for p in range(1, args.p + 1):
-            rows.append([str(p), args.method, _fmt(ob.moments_oracle(op, a0, p).value)])
+            value = ob.moments_oracle(op, a0, p, limit=max(N, pg.ORACLE_LIMIT)).value
+            rows.append([str(p), args.method, _fmt(value)])
     else:
         dec = sp.build_decomposition(N, mode)
         coords = sp.to_coordinates(dec, a0)
@@ -308,7 +309,7 @@ def build_parser():
     p.add_argument("--n", type=int, required=True, help="population size (>= 2)")
     p.add_argument("--mode", choices=[sp.EXACT, sp.FLOAT], default=sp.EXACT)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_spectrum)
+    p.set_defaults(func=cmd_spectrum, overflow_advice="--mode exact")
 
     p = sub.add_parser("propagate", help="m-step macrostate distribution")
     p.add_argument("--n", type=int, required=True)
@@ -316,7 +317,7 @@ def build_parser():
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--method", choices=["spectral", "direct"], default="spectral")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_propagate)
+    p.set_defaults(func=cmd_propagate, overflow_advice="--method direct")
 
     p = sub.add_parser("moments", help="moments of the consensus time")
     p.add_argument("--n", type=int, required=True)
@@ -327,14 +328,14 @@ def build_parser():
         default="exact",
     )
     p.add_argument("--out")
-    p.set_defaults(func=cmd_moments)
+    p.set_defaults(func=cmd_moments, overflow_advice="--method oracle")
 
     p = sub.add_parser("local-times", help="expected visits per interior macrostate")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--init", required=True)
     p.add_argument("--method", choices=["exact", "oracle", "greens"], default="exact")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_local_times)
+    p.set_defaults(func=cmd_local_times, overflow_advice="--method oracle")
 
     p = sub.add_parser("simulate", help="Monte Carlo voter dynamics")
     p.add_argument("--topology", required=True,
@@ -363,6 +364,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except sp.NumericOverflowError as exc:
+        # float coefficients left the double range: name the flag of this
+        # command that avoids them
+        print(f"votermodel: error: {exc}; rerun with {args.overflow_advice}",
+              file=sys.stderr)
+        return 2
     except tp.GraphGenerationError as exc:
         print(f"votermodel: error: {exc}", file=sys.stderr)
         return 1

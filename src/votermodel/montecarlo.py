@@ -1,7 +1,14 @@
-"""Node-level Monte Carlo simulation of the voter dynamics.
+"""Monte Carlo simulation of the voter dynamics.
 
 Each iteration picks one node uniformly, which then copies the state of a
 uniformly chosen neighbor; no-change events still consume an iteration.
+Bipartite and explicit graphs run exactly that, node by node.  On the
+complete graph the nodes are exchangeable, so the A-count j is the whole
+state (the paper's urn): from j it moves up or down with probability
+p_j = j(N-j)/(N(N-1)) each.  There the simulator draws the embedded +-1
+walk and its geometric holding times in numpy chunks (the "n-fold way" of
+Bortz, Kalos and Lebowitz, J. Comput. Phys. 17, 10, 1975), which is exact
+in distribution and runs no Python loop per iteration.
 Replicas are fully reproducible: replica r of a run with master seed s
 draws from the splittable stream ``SeedSequence((s, r))``, so results are
 independent of execution order and parallelism.
@@ -93,6 +100,24 @@ def replica_rng(seed, replica):
     return np.random.default_rng(np.random.SeedSequence((int(seed), int(replica))))
 
 
+def _initial_count(N, init, rng):
+    """The initial number of A-nodes; ``uniform`` draws it from 0..N."""
+    kind = init[0]
+    if kind == "count":
+        count = int(init[1])
+    elif kind == "density":
+        count = round(float(init[1]) * N)
+    elif kind == "uniform":
+        count = int(rng.integers(0, N + 1))
+    elif kind == "groups":
+        raise ValueError("per-group init requires a bipartite topology")
+    else:
+        raise ValueError(f"unknown init spec {init!r}")
+    if not 0 <= count <= N:
+        raise ValueError(f"initial count {count} outside 0..{N}")
+    return count
+
+
 def _initial_states(topo, init, rng):
     """Realize a microstate for the configured macrostate.
 
@@ -100,11 +125,8 @@ def _initial_states(topo, init, rng):
     group inits place the given counts inside each bipartite group.
     """
     N = topo.N
-    kind = init[0]
     states = [0] * N
-    if kind == "groups":
-        if topo.groups is None:
-            raise ValueError("per-group init requires a bipartite topology")
+    if init[0] == "groups" and topo.groups is not None:
         n1, n2 = int(init[1]), int(init[2])
         g1, g2 = topo.groups
         if not (0 <= n1 <= g1 and 0 <= n2 <= g2):
@@ -114,19 +136,83 @@ def _initial_states(topo, init, rng):
         for i in rng.choice(g2, size=n2, replace=False):
             states[g1 + i] = 1
         return states, n1 + n2
-    if kind == "count":
-        count = int(init[1])
-    elif kind == "density":
-        count = round(float(init[1]) * N)
-    elif kind == "uniform":
-        count = int(rng.integers(0, N + 1))
-    else:
-        raise ValueError(f"unknown init spec {init!r}")
-    if not 0 <= count <= N:
-        raise ValueError(f"initial count {count} outside 0..{N}")
+    count = _initial_count(N, init, rng)
     for i in rng.choice(N, size=count, replace=False):
         states[i] = 1
     return states, count
+
+
+def _run_urn(N, n_a, cap, rng, track):
+    """The complete graph as an urn: (steps, final count, visit tally).
+
+    The embedded jump chain of the A-count is a symmetric +-1 walk, and a
+    visit to j lasts a geometric(2 p_j) number of iterations, the last of
+    which makes the jump.  Each hold is tallied at its state, so every
+    iteration from m = 0 counts at its pre-move state.  At the cap the last
+    hold is cut short, so ``cap`` still means exactly that many iterations.
+    """
+    visits = np.zeros(N + 1) if track else None
+    scale = N * (N - 1)
+    steps = 0
+    while 0 < n_a < N and steps < cap:
+        room = cap - steps
+        # every hold lasts at least one iteration: room jumps always suffice
+        path = n_a + np.cumsum(2 * rng.integers(0, 2, min(_CHUNK, room)) - 1)
+        hit = np.flatnonzero((path == 0) | (path == N))
+        if hit.size:
+            path = path[: hit[0] + 1]
+        where = np.empty_like(path)
+        where[0] = n_a
+        where[1:] = path[:-1]
+        holds = rng.geometric(2 * where * (N - where) / scale)
+        done = np.cumsum(holds)
+        if done[-1] >= room:
+            k = int(np.searchsorted(done, room))
+            if done[k] == room:
+                n_a = int(path[k])
+            else:
+                holds[k] -= done[k] - room
+                n_a = int(where[k])
+            where, holds = where[: k + 1], holds[: k + 1]
+            steps = cap
+        else:
+            n_a = int(path[-1])
+            steps += int(done[-1])
+        if track:
+            visits += np.bincount(where, weights=holds, minlength=N + 1)
+    return steps, n_a, visits
+
+
+def _run_nodes(topo, states, n_a, cap, rng):
+    """Bipartite and explicit graphs, node by node: (steps, final count)."""
+    N = topo.N
+    kind = topo.kind
+    if kind == BIPARTITE:
+        n1 = topo.groups[0]
+        n2 = N - n1
+    else:
+        indptr = list(topo.indptr)
+        indices = list(topo.indices)
+        degrees = list(topo.degrees)
+    steps = 0
+    while 0 < n_a < N and steps < cap:
+        take = min(_CHUNK, cap - steps)
+        nodes = rng.integers(0, N, take).tolist()
+        uniforms = rng.random(take).tolist()
+        for t in range(take):
+            i = nodes[t]
+            if kind == BIPARTITE:
+                j = n1 + int(uniforms[t] * n2) if i < n1 else int(uniforms[t] * n1)
+            else:
+                j = indices[indptr[i] + int(uniforms[t] * degrees[i])]
+            sj = states[j]
+            steps += 1
+            if states[i] != sj:
+                states[i] = sj
+                n_a += 1 if sj else -1
+                if n_a == 0 or n_a == N:
+                    break
+    return steps, n_a
 
 
 def run_to_consensus(config, replica):
@@ -139,62 +225,26 @@ def run_to_consensus(config, replica):
     topo = config.topology
     N = topo.N
     rng = replica_rng(config.seed, replica)
-    states, n_a = _initial_states(topo, config.init, rng)
     cap = config.step_cap()
     track = config.track_local_times
     if track and topo.kind != COMPLETE:
         raise UnsupportedObservableError(
             "macrostate local times are defined only on the complete graph"
         )
-    visits = [0] * (N + 1) if track else None
-    initial = n_a
-    steps = 0
-
-    kind = topo.kind
-    if kind == BIPARTITE:
-        n1 = topo.groups[0]
-        n2 = N - n1
-    elif kind != COMPLETE:
-        indptr = list(topo.indptr)
-        indices = list(topo.indices)
-        degrees = list(topo.degrees)
-
-    while 0 < n_a < N and steps < cap:
-        take = min(_CHUNK, cap - steps)
-        nodes = rng.integers(0, N, take).tolist()
-        if kind == COMPLETE:
-            offsets = rng.integers(1, N, take).tolist()
-        else:
-            uniforms = rng.random(take).tolist()
-        for t in range(take):
-            if track:
-                visits[n_a] += 1
-            i = nodes[t]
-            if kind == COMPLETE:
-                j = i + offsets[t]
-                if j >= N:
-                    j -= N
-            elif kind == BIPARTITE:
-                j = n1 + int(uniforms[t] * n2) if i < n1 else int(uniforms[t] * n1)
-            else:
-                j = indices[indptr[i] + int(uniforms[t] * degrees[i])]
-            sj = states[j]
-            steps += 1
-            if states[i] != sj:
-                states[i] = sj
-                n_a += 1 if sj else -1
-                if n_a == 0 or n_a == N:
-                    break
-
-    censored = 0 < n_a < N
+    if topo.kind == COMPLETE:
+        initial = _initial_count(N, config.init, rng)
+        steps, n_a, visits = _run_urn(N, initial, cap, rng, track)
+    else:
+        states, initial = _initial_states(topo, config.init, rng)
+        steps, n_a = _run_nodes(topo, states, initial, cap, rng)
     return RunRecord(
         replica=replica,
         steps=steps,
-        censored=censored,
+        censored=0 < n_a < N,
         fixated=n_a == N,
         initial_count=initial,
         final_count=n_a,
-        visits=tuple(visits) if track else None,
+        visits=tuple(visits.astype(np.int64).tolist()) if track else None,
     )
 
 

@@ -15,7 +15,6 @@ from functools import lru_cache
 from math import factorial
 
 import numpy as np
-from scipy.integrate import quad
 
 from .propagator import ORACLE_LIMIT, OracleLimitError
 from .spectral import EXACT, FLOAT
@@ -347,21 +346,23 @@ def greens_local_time(f, rho, N, abs_tol=1e-10):
     """Continuum local time ``M(rho) ~ N int f(xi) g(rho, xi) dxi``.
 
     ``f`` is either ``("point", xi)``, ``"uniform"``, or a callable density
-    on (0, 1) integrating to 1.  Point masses bypass quadrature entirely;
-    densities use adaptive quadrature split at the kernel kink.
+    on (0, 1) integrating to 1.  Point masses and the uniform density are
+    closed form (``int_0^1 g(rho, xi) dxi = rho/2 + (1-rho)/2 = 1/2``);
+    other densities use adaptive quadrature split at the kernel kink.
     """
     if not 0 < rho < 1:
         raise ValueError(f"density must lie in (0, 1), got rho={rho}")
     if isinstance(f, tuple) and f and f[0] == "point":
         return N * greens_kernel(rho, float(f[1]))
     if f == "uniform":
-        density = lambda xi: 1.0
-    elif callable(f):
-        density = f
-    else:
+        return N / 2
+    if not callable(f):
         raise ValueError(f"unsupported initial-density spec {f!r}")
+    # scipy costs most of the package's import time and only this branch uses it
+    from scipy.integrate import quad
+
     val, _ = quad(
-        lambda xi: density(xi) * greens_kernel(rho, xi),
+        lambda xi: f(xi) * greens_kernel(rho, xi),
         0.0,
         1.0,
         points=[rho],

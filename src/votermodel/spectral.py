@@ -109,7 +109,7 @@ def _to_float(num, den, what):
         return num / den
     except OverflowError as exc:
         raise NumericOverflowError(
-            f"{what} exceeds the double-precision range; use exact mode"
+            f"{what} exceeds the double-precision range"
         ) from exc
 
 

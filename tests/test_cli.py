@@ -1,7 +1,13 @@
 """Command-line interface: output format, determinism, and exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import votermodel
 from votermodel import cli
 from votermodel import montecarlo as mc
 from votermodel import observables as ob
@@ -20,6 +26,17 @@ def run(capsys, *argv):
 def data_rows(text):
     lines = [ln for ln in text.strip().splitlines() if not ln.startswith("#")]
     return lines[0], lines[1:]
+
+
+def test_import_leaves_scipy_out():
+    # scipy is imported only for quadrature of a callable Green's density
+    src = str(Path(votermodel.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = "import sys, votermodel.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 class TestSpectrum:
@@ -128,6 +145,22 @@ class TestMoments:
         assert "b-coefficient (N=1100, k=1)" in lines[0]
         assert "exceeds the double-precision range" in lines[0]
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("moments", "--n", "1100", "--init", "uniform", "--p", "2"),
+    ("local-times", "--n", "1100", "--init", "uniform"),
+    ("propagate", "--n", "1100", "--init", "uniform", "--steps", "3"),
+], ids=lambda argv: argv[0])
+def test_overflow_advice_works(capsys, argv):
+    # followed, the advice answers past ORACLE_LIMIT (moments --method oracle
+    # takes the same limit rule as local-times)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    advice = err.strip().split("; rerun with ")[1].split()
+    code, out, _ = run(capsys, *argv, *advice)
+    assert code == 0
+    assert data_rows(out)[1]
 
 
 class TestLocalTimes:

@@ -62,6 +62,32 @@ class TestMicroDynamics:
             assert rec.censored == (0 < rec.final_count < topo.N)
             assert rec.fixated == (rec.final_count == topo.N)
 
+    def test_urn_maintains_counts(self):
+        # the complete-graph jump chain still stops after exactly m iterations
+        N = 25
+        topo = generate_complete(N)
+        for m in range(1, 201):
+            cfg = config(topo, ("count", 10), 1, seed=17, max_steps=m, track_local_times=True)
+            rec = run_to_consensus(cfg, 0)
+            assert rec.steps <= m
+            assert 0 <= rec.final_count <= N
+            assert rec.censored == (0 < rec.final_count < N)
+            if rec.censored:
+                assert rec.steps == m
+            assert sum(rec.visits) == rec.steps
+            assert rec.fixated == (rec.final_count == N)
+
+    @pytest.mark.parametrize("init", [("density", 0.3), ("uniform",)])
+    def test_complete_inits_draw_a_valid_count(self, init):
+        N = 20
+        cfg = config(generate_complete(N), init, 200, seed=3)
+        counts = [rec.initial_count for rec in simulate(cfg)]
+        assert all(0 <= c <= N for c in counts)
+        if init[0] == "density":
+            assert set(counts) == {6}
+        else:
+            assert len(set(counts)) > 1
+
     def test_single_step_frequencies_match_rates(self):
         # P(n -> n±1) = p_j each; binomial 4-sigma gate on 4000 fresh trials
         N, j, trials = 10, 3, 4000
