@@ -15,7 +15,6 @@ from .observables import (
     ConsensusMoment,
     ContinuumEigenfunction,
     LocalTimes,
-    consensus_entry_probability,
     greens_kernel,
     greens_local_time,
     hypergeometric_eigenfunction,
@@ -23,7 +22,6 @@ from .observables import (
     local_times_oracle,
     moment_exact,
     moment_asymptotic,
-    moment_uniform_bound,
     moments_oracle,
 )
 from .propagator import (
@@ -31,7 +29,6 @@ from .propagator import (
     TransitionOperator,
     delta_distribution,
     dense_oracle,
-    limit_distribution,
     make_distribution,
     propagate_spectral,
     single_step,
@@ -53,7 +50,6 @@ from .spectral import (
     build_decomposition,
     eigenvalues,
     inverse_binomial_transform,
-    reconstruct,
     to_coordinates,
 )
 from .topology import (
@@ -67,5 +63,4 @@ from .topology import (
     generate_bipartite,
     generate_complete,
     generate_er,
-    to_edge_list,
 )

@@ -43,6 +43,18 @@ def _auto_mode(N, steps=0):
     return sp.EXACT if N <= AUTO_EXACT_N and steps <= AUTO_EXACT_STEPS else sp.FLOAT
 
 
+def _parse_density(spec):
+    """The rho of a ``density:<rho>`` init spec, checked to lie in [0, 1]."""
+    text = spec.split(":", 1)[1]
+    try:
+        rho = float(text)
+    except ValueError as exc:
+        raise UsageError(f"density {text!r} is not a number") from exc
+    if not 0 <= rho <= 1:  # also rejects nan
+        raise UsageError(f"density must lie in [0, 1], got {rho}")
+    return rho
+
+
 def _parse_init_distribution(spec, N, mode):
     """InitSpec -> macrostate distribution for the analytic commands."""
     if spec == "uniform":
@@ -50,10 +62,7 @@ def _parse_init_distribution(spec, N, mode):
     if spec.startswith("delta:"):
         return pg.delta_distribution(N, int(spec.split(":", 1)[1]), mode)
     if spec.startswith("density:"):
-        rho = float(spec.split(":", 1)[1])
-        if not 0 <= rho <= 1:
-            raise UsageError(f"density must lie in [0, 1], got {rho}")
-        return pg.delta_distribution(N, round(rho * N), mode)
+        return pg.delta_distribution(N, round(_parse_density(spec) * N), mode)
     if spec.startswith("file:"):
         path = spec.split(":", 1)[1]
         with open(path) as fh:
@@ -81,7 +90,7 @@ def _parse_init_simulation(spec, topo):
             return ("groups", c1, count - c1)
         return ("count", count)
     if spec.startswith("density:"):
-        rho = float(spec.split(":", 1)[1])
+        rho = _parse_density(spec)
         if topo.kind == tp.BIPARTITE:
             n1, n2 = topo.groups
             return ("groups", round(rho * n1), round(rho * n2))
@@ -169,6 +178,8 @@ def cmd_propagate(args):
 
 def cmd_moments(args):
     N = args.n
+    if args.p < 1:
+        raise UsageError(f"highest moment order --p must be >= 1, got {args.p}")
     mode = _auto_mode(N)
     a0 = _parse_init_distribution(args.init, N, mode)
     rows = []
@@ -204,7 +215,7 @@ def cmd_local_times(args):
         if args.init == "uniform":
             f = "uniform"
         elif args.init.startswith("density:"):
-            f = ("point", float(args.init.split(":", 1)[1]))
+            f = ("point", _parse_density(args.init))
         elif args.init.startswith("delta:"):
             f = ("point", int(args.init.split(":", 1)[1]) / N)
         else:

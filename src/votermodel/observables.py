@@ -103,13 +103,6 @@ def power_sum(lam, p):
 # ---------------------------------------------------------------------------
 
 
-def consensus_entry_probability(dist):
-    """Probability of entering consensus on the next step, (a_1 + a_{N-1})/N."""
-    a = dist.a
-    N = len(a) - 1
-    return (a[1] + a[N - 1]) / N
-
-
 def s_coefficients(decomp, coords):
     """Weights s_k = d_k (c_1^(k) + c_{N-1}^(k)) for k = 2..N.
 
@@ -161,14 +154,6 @@ def moment_asymptotic(decomp, coords, p):
     total = sum(sk * fact / (1 - pair.lam) ** (p + 1) for sk, pair in zip(s, decomp.pairs[2:]))
     total = total / N
     return ConsensusMoment(p=p, value=total, method="large-n-asymptotic")
-
-
-def moment_uniform_bound(decomp, p):
-    """Distribution-free order bound ``p! lambda_2^p / (1-lambda_2)^p``."""
-    if p < 1:
-        raise ValueError(f"moment order must be >= 1, got {p}")
-    lam2 = decomp.pairs[2].lam
-    return factorial(p) * lam2**p / (1 - lam2) ** p
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from .spectral import (
     _check_mode,
     _check_population,
     _validate_distribution,
-    reconstruct,
 )
 
 #: largest N accepted by the step-by-step oracle
@@ -171,19 +170,3 @@ def propagate_spectral(decomp, coords, m):
             out[j] += w * pair.c[j]
     return MacrostateDistribution(a=tuple(out), step=m)
 
-
-def limit_distribution(decomp, coords):
-    """m -> infinity limit: all mass on the two consensus states.
-
-    The coordinate d_1 on the e_N indicator equals the martingale fixation
-    probability ``sum_j (j/N) a_j^(0)``.
-    """
-    N = decomp.N
-    d0, d1 = coords.d[0], coords.d[1]
-    if decomp.mode == FLOAT:
-        a = [0.0] * (N + 1)
-    else:
-        a = [Fraction(0)] * (N + 1)
-    a[0] = d0
-    a[N] = d1
-    return MacrostateDistribution(a=tuple(a))

@@ -7,9 +7,12 @@ closed form: eigenvalues ``lambda_k = 1 - k(k-1)/(N(N-1))``.  In the
 shifted basis ``u = x - y`` the operator is lower bidiagonal, so the
 u-basis eigenvectors b (one-term recurrence) and the left eigenvectors
 (product form) are explicit.  The macrostate eigenvectors c are the signed
-binomial (Pascal) transform of b; they are computed here from the
-eigen-equation itself, read as a three-term recurrence, and every pair is
-re-checked against all rows of that equation.
+binomial (Pascal) transform of b.  Only c is stored: it is computed from
+the eigen-equation itself, read as a three-term recurrence that needs just
+the last component of b, and every pair is re-checked against all rows of
+that equation.  The coordinates come from the left eigenvectors, and b
+itself is kept only as the paper's Pascal route (:func:`b_coefficients`,
+:func:`binomial_transform`) for the tests to compare against.
 
 Everything is computed in integer arithmetic with denominators cleared.
 Exact mode turns the integers into Fractions; float mode rounds each ratio
@@ -25,8 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 from numbers import Integral
-
-import numpy as np
 
 EXACT = "exact"
 FLOAT = "float"
@@ -49,21 +50,19 @@ class NormalizationError(ValueError):
 
 
 class NumericOverflowError(OverflowError, ValueError):
-    """Raised when coefficients exceed the float range; use exact mode."""
+    """Raised when a float-mode coefficient exceeds the double range.
+
+    Which route avoids it depends on the caller: exact mode, the
+    tridiagonal oracles, or step-by-step propagation.
+    """
 
 
 @dataclass(frozen=True)
 class EigenPair:
-    """One eigenvalue with its eigenvector in both coefficient bases.
-
-    ``b`` holds the coefficients in the shifted u-basis (zero below index
-    k, unity at index k for k >= 2); ``c`` holds the macrostate-space
-    eigenvector components.
-    """
+    """One eigenvalue with its macrostate-space eigenvector components c."""
 
     k: int
     lam: object
-    b: tuple
     c: tuple
 
 
@@ -72,10 +71,6 @@ class SpectralDecomposition:
     N: int
     mode: str
     pairs: tuple
-
-    @property
-    def eigenvalues(self):
-        return tuple(p.lam for p in self.pairs)
 
 
 @dataclass(frozen=True)
@@ -141,28 +136,12 @@ def b_coefficients(N, k):
     N = _check_population(N)
     if not 2 <= k <= N:
         raise IndexError(f"b-coefficient index k must satisfy 2 <= k <= N, got k={k}")
-    ints, den = _b_integers(N, k)
-    return tuple(Fraction(v, den) for v in ints)
-
-
-def _b_integers(N, k):
-    """b-coefficients with denominators cleared: returns (D*b_j as ints, D).
-
-    D is the full denominator product, so the eigenvector c can stay in
-    integer arithmetic (big-int products are far cheaper than repeated
-    Fraction normalization).
-    """
-    den = 1
-    for i in range(k + 1, N + 1):
-        den *= i * (i - 1) - k * (k - 1)
-    ints = [0] * (N + 1)
-    ints[k] = den
-    cur = den
+    K = k * (k - 1)
+    b = [Fraction(0)] * (N + 1)
+    b[k] = Fraction(1)
     for j in range(k + 1, N + 1):
-        # exact: the step divisor is a factor of the remaining denominator
-        cur = cur * (j - 1) * (N - j + 1) // (j * (j - 1) - k * (k - 1))
-        ints[j] = cur
-    return ints, den
+        b[j] = b[j - 1] * Fraction((j - 1) * (N - j + 1), j * (j - 1) - K)
+    return tuple(b)
 
 
 def _c_integers(N, k, top):
@@ -171,9 +150,10 @@ def _c_integers(N, k, top):
     Row j of N(N-1) * (P - lambda_k I) c = 0, with K = k(k-1), reads
     ``(j-1)(N-j+1) c_{j-1} = (2j(N-j) - K) c_j - (j+1)(N-j-1) c_{j+1}``;
     rows N, N-1, ..., 2 give c_{N-1}, ..., c_1 and row 0 gives
-    ``c_0 = -(N-1) c_1 / K``.  D*c is the signed Pascal transform of the
-    integers D*b, so every division is exact; row 1 is left unused, and
-    _verify_residual re-checks all rows.
+    ``c_0 = -(N-1) c_1 / K``.  With D the full denominator product of b,
+    D*c is the signed Pascal transform of the integers D*b, so every
+    division is exact; row 1 is left unused, and _verify_residual re-checks
+    all rows.
     """
     K = k * (k - 1)
     c = [0] * (N + 1)
@@ -213,20 +193,13 @@ def inverse_binomial_transform(c):
     return tuple(b)
 
 
-def _make_pair(N, k, lam, b_ints, c_ints, den, mode):
-    """EigenPair with b = b_ints / den and c = c_ints / den in ``mode``."""
+def _make_pair(N, k, lam, c_ints, den, mode):
+    """EigenPair with c = c_ints / den in ``mode``."""
     if mode == EXACT:
-        return EigenPair(
-            k=k, lam=lam,
-            b=tuple(Fraction(v, den) for v in b_ints),
-            c=tuple(Fraction(v, den) for v in c_ints),
-        )
-    b_what = f"b-coefficient (N={N}, k={k})"
-    c_what = f"eigenvector component (N={N}, k={k})"
+        return EigenPair(k=k, lam=lam, c=tuple(Fraction(v, den) for v in c_ints))
+    what = f"eigenvector component (N={N}, k={k})"
     return EigenPair(
-        k=k, lam=float(lam),
-        b=tuple(_to_float(v, den, b_what) for v in b_ints),
-        c=tuple(_to_float(v, den, c_what) for v in c_ints),
+        k=k, lam=float(lam), c=tuple(_to_float(v, den, what) for v in c_ints)
     )
 
 
@@ -235,20 +208,24 @@ def _consensus_pair(N, k, mode):
 
     The b-recurrence is degenerate for k in {0, 1}; the indicator choice
     e_0 / e_N makes the first two eigencoordinates the asymptotic consensus
-    probabilities.  Their u-basis coefficients are b = e_0 and
-    ``b_j = C(N, j)``.
+    probabilities.
     """
     c = [0] * (N + 1)
     c[0 if k == 0 else N] = 1
-    b = c if k == 0 else [comb(N, j) for j in range(N + 1)]
-    return _make_pair(N, k, Fraction(1), b, c, 1, mode)
+    return _make_pair(N, k, Fraction(1), c, 1, mode)
 
 
 def _interior_pair(N, k, mode):
-    b_ints, den = _b_integers(N, k)
-    c_ints = _c_integers(N, k, b_ints[N])
+    K = k * (k - 1)
+    # D = prod (i(i-1) - K) clears the denominators of b, and
+    # D*b_N = prod (i-1)(N-i+1) is all the c-recurrence needs of b
+    den = top = 1
+    for i in range(k + 1, N + 1):
+        den *= i * (i - 1) - K
+        top *= (i - 1) * (N - i + 1)
+    c_ints = _c_integers(N, k, top)
     _verify_residual(N, k, c_ints)
-    return _make_pair(N, k, eigenvalue(N, k), b_ints, c_ints, den, mode)
+    return _make_pair(N, k, eigenvalue(N, k), c_ints, den, mode)
 
 
 def _verify_residual(N, k, c_ints):
@@ -275,13 +252,14 @@ def build_decomposition(N, mode=EXACT):
     """Full spectral decomposition for population N.
 
     Pairs k = 0, 1 are the consensus indicators e_0 and e_N with
-    eigenvalue 1; pairs k = 2..N come from the b-recurrence and the
-    three-term eigen-equation recurrence for c, in cleared-denominator
-    integers.  Every interior pair is verified against the eigen-equation
-    exactly during construction, in both modes.  Float pairs are rounded
-    from those integers directly (no Fractions), in k order, so an N whose
-    coefficients overflow a double fails at the consensus pair k = 1.
-    Pairs are cached per (N, mode).
+    eigenvalue 1; pairs k = 2..N come from the three-term eigen-equation
+    recurrence for c, in cleared-denominator integers.  Every interior pair
+    is verified against the eigen-equation exactly during construction, in
+    both modes.  Float pairs are rounded from those integers directly (no
+    Fractions).  The interior pairs are built from k = N down, because
+    ``c^(N)_j = (-1)^(N-j) C(N, j)`` has the largest entries, so an N whose
+    coefficients overflow a double (N >= 1030) fails on the first pair
+    built.  The cached tuple is in k order, per (N, mode).
     """
     N = _check_population(N)
     _check_mode(mode)
@@ -291,9 +269,10 @@ def build_decomposition(N, mode=EXACT):
             # free the previous large N first, so two never coexist in memory
             for key in [key for key in _pairs_cache if key[0] > _CACHE_MAX and key[0] != N]:
                 del _pairs_cache[key]
-        pairs = [_consensus_pair(N, 0, mode), _consensus_pair(N, 1, mode)]
-        pairs.extend(_interior_pair(N, k, mode) for k in range(2, N + 1))
-        pairs = _pairs_cache[N, mode] = tuple(pairs)
+        interior = [_interior_pair(N, k, mode) for k in range(N, 1, -1)]
+        pairs = _pairs_cache[N, mode] = (
+            _consensus_pair(N, 0, mode), _consensus_pair(N, 1, mode), *reversed(interior)
+        )
     return SpectralDecomposition(N=N, mode=mode, pairs=pairs)
 
 
@@ -352,18 +331,3 @@ def to_coordinates(decomp, a0):
             for k, v in enumerate(d)
         ))
     return EigenCoordinates(d=tuple(d))
-
-
-def reconstruct(decomp, coords):
-    """Sum ``d_k c^(k)`` back to macrostate space (inverse of to_coordinates)."""
-    N = decomp.N
-    if decomp.mode == FLOAT:
-        c_matrix = np.array([p.c for p in decomp.pairs], dtype=float)
-        return np.asarray(coords.d, dtype=float) @ c_matrix
-    out = [Fraction(0)] * (N + 1)
-    for dk, pair in zip(coords.d, decomp.pairs):
-        if dk == 0:
-            continue
-        for j in range(N + 1):
-            out[j] += dk * pair.c[j]
-    return tuple(out)

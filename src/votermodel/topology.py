@@ -45,26 +45,6 @@ class Topology:
             return list(range(n1, self.N)) if i < n1 else list(range(n1))
         return list(self.indices[self.indptr[i] : self.indptr[i + 1]])
 
-    def edges(self):
-        """Yield each undirected edge once as (i, j) with i < j."""
-        if self.kind == COMPLETE:
-            for i in range(self.N):
-                for j in range(i + 1, self.N):
-                    yield i, j
-        elif self.kind == BIPARTITE:
-            n1 = self.groups[0]
-            for i in range(n1):
-                for j in range(n1, self.N):
-                    yield i, j
-        else:
-            for i in range(self.N):
-                for j in self.neighbors(i):
-                    if i < j:
-                        yield i, j
-
-    def edge_count(self):
-        return sum(self.degrees) // 2
-
 
 @dataclass(frozen=True)
 class DegreeMoments:
@@ -186,13 +166,6 @@ def from_edge_list(lines):
     indptr, indices = _csr_from_adjacency(N, adj)
     degrees = tuple(indptr[i + 1] - indptr[i] for i in range(N))
     return Topology(kind=EXPLICIT, N=N, degrees=degrees, indptr=indptr, indices=indices)
-
-
-def to_edge_list(topo):
-    """Serialize to the edge-list text format (lines, no trailing newline)."""
-    lines = [f"{topo.N} {topo.edge_count()}"]
-    lines.extend(f"{i} {j}" for i, j in topo.edges())
-    return "\n".join(lines)
 
 
 def degree_moments(topo):

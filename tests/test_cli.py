@@ -1,11 +1,16 @@
 """Command-line interface: output format, determinism, and exit codes."""
 
+import io
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import votermodel
 from votermodel import cli
@@ -134,15 +139,24 @@ class TestMoments:
         assert code == 2
         assert "interior" in err
 
+    @pytest.mark.parametrize("p", ["0", "-1"])
+    def test_rejects_order_below_one(self, capsys, p):
+        code, out, err = run(capsys, "moments", "--n", "6", "--init", "delta:3", "--p", p)
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("votermodel: error:")
+        assert "--p must be >= 1" in lines[0]
+
     def test_float_overflow_fails_fast(self, capsys):
-        # C(N, j) in the consensus pair k = 1 is the first coefficient to
-        # leave the double range; it is rounded before any interior pair
+        # c^(N)_j = (-1)^(N-j) C(N, j) has the largest entries of any pair
+        # and leaves the double range first; pair k = N is built first
         code, out, err = run(capsys, "moments", "--n", "1100", "--init", "uniform", "--p", "1")
         assert code == 2
         assert out == ""
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("votermodel: error:")
-        assert "b-coefficient (N=1100, k=1)" in lines[0]
+        assert "eigenvector component (N=1100, k=1100)" in lines[0]
         assert "exceeds the double-precision range" in lines[0]
         assert "Traceback" not in err
 
@@ -247,6 +261,20 @@ class TestSimulate:
         assert code == 0
         assert "p,T_p" in out
 
+    @pytest.mark.parametrize("topology", ["complete:10", "bipartite:6,4"])
+    @pytest.mark.parametrize("rho", ["inf", "-inf", "1e400", "nan", "1.5"])
+    def test_rejects_density_outside_unit_interval(self, capsys, topology, rho):
+        code, out, err = run(
+            capsys, "simulate", "--topology", topology, "--init", f"density:{rho}",
+            "--runs", "1", "--seed", "1",
+        )
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0] == (
+            f"votermodel: error: density must lie in [0, 1], got {float(rho)}"
+        )
+
     def test_bad_topology(self, capsys):
         code, _, err = run(
             capsys, "simulate", "--topology", "ring:9", "--init", "uniform",
@@ -347,3 +375,81 @@ def test_error_contract(exc, target, argv, code, tmp_path, monkeypatch, capsys):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("votermodel: error:")
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed init and topology specs
+# ---------------------------------------------------------------------------
+
+#: population sizes stay small, so that no example allocates a large graph
+SIZES = st.integers(min_value=-2, max_value=40)
+FLOAT_TEXT = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["0", "0.5", "1", "1e400", "-1e400", "nan", "inf", "-inf", "", "x"]),
+)
+GARBAGE = st.text(max_size=12)
+INITS = st.one_of(
+    SIZES.map("delta:{}".format),
+    FLOAT_TEXT.map("density:{}".format),
+    st.just("uniform"),
+    st.just("file:INIT"),
+    st.just("file:MISSING"),
+    GARBAGE.map("delta:{}".format),
+    GARBAGE,
+)
+# link probabilities avoid tiny positive values, whose retry budget runs long
+LINK_P = st.sampled_from(["0.1", "0.3", "1", "0", "-0.5", "1.5", "nan", "inf", "1e400", "x"])
+TOPOLOGIES = st.one_of(
+    SIZES.map("complete:{}".format),
+    st.tuples(SIZES, SIZES).map(lambda t: f"bipartite:{t[0]},{t[1]}"),
+    st.tuples(SIZES, LINK_P).map(lambda t: f"er:{t[0]},{t[1]}"),
+    st.just("file:GRAPH"),
+    st.just("file:MISSING"),
+    GARBAGE.map("complete:{}".format),
+    GARBAGE,
+)
+TOKENS = st.sampled_from(["0", "1", "2", "3", "-1", "1/2", "1/3", "1/0", "0.5", "nan", "1e400", "x"])
+FILE_TEXT = st.lists(
+    st.lists(TOKENS, max_size=4).map(" ".join), max_size=6
+).map("\n".join)
+GRAPH_TEXT = st.tuples(SIZES, st.integers(min_value=-1, max_value=6), FILE_TEXT).map(
+    lambda t: f"{t[0]} {t[1]}\n{t[2]}"
+)
+
+
+@st.composite
+def commands(draw):
+    init = f"--init={draw(INITS)}"
+    command = draw(st.sampled_from(["moments", "local-times", "simulate"]))
+    if command == "simulate":
+        argv = ["simulate", f"--topology={draw(TOPOLOGIES)}", init, "--runs=2",
+                f"--seed={draw(st.integers(min_value=0, max_value=9))}"]
+        argv += draw(st.sampled_from([[], ["--pmax=2"], ["--pmax=1", "--normalize"]]))
+    elif command == "moments":
+        argv = ["moments", f"--n={draw(SIZES)}", init,
+                f"--p={draw(st.integers(min_value=-1, max_value=3))}",
+                f"--method={draw(st.sampled_from(['exact', 'asymptotic', 'oracle']))}"]
+    else:
+        argv = ["local-times", f"--n={draw(SIZES)}", init,
+                f"--method={draw(st.sampled_from(['exact', 'oracle', 'greens']))}"]
+    return argv, draw(FILE_TEXT), draw(GRAPH_TEXT)
+
+
+@given(commands())
+@settings(max_examples=250, deadline=None)
+def test_fuzzed_specs_keep_the_error_contract(case):
+    argv, init_text, graph_text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "INIT").write_text(init_text)
+        Path(tmp, "GRAPH").write_text(graph_text)
+        argv = [a.replace("file:", f"file:{tmp}{os.sep}") if "=file:" in a else a
+                for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv)
+    assert code in (0, 1, 2)
+    if code:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("votermodel: error:")
+    assert "Traceback" not in err.getvalue()

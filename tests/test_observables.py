@@ -9,7 +9,6 @@ from votermodel import (
     EXACT,
     FLOAT,
     build_decomposition,
-    consensus_entry_probability,
     delta_distribution,
     dense_oracle,
     greens_kernel,
@@ -19,7 +18,6 @@ from votermodel import (
     local_times_oracle,
     moment_exact,
     moment_asymptotic,
-    moment_uniform_bound,
     moments_oracle,
     to_coordinates,
     transition_operator,
@@ -58,11 +56,6 @@ class TestEulerian:
 
 
 class TestAbsorptionFlux:
-    def test_entry_probability(self):
-        # one step from the uniform N=4 distribution
-        out = dense_oracle(transition_operator(4), uniform_distribution(4), 1)
-        assert consensus_entry_probability(out) == (out.a[1] + out.a[3]) / 4
-
     def test_s_matches_flux_series(self):
         # q_m reconstructed from s_k weights equals the brute-force flux
         N = 8
@@ -75,7 +68,7 @@ class TestAbsorptionFlux:
             q_spectral = (
                 sum(sk * pair.lam ** (m - 1) for sk, pair in zip(s, dec.pairs[2:])) / N
             )
-            assert q_spectral == consensus_entry_probability(dist)
+            assert q_spectral == (dist.a[1] + dist.a[N - 1]) / N
             dist = dense_oracle(op, dist, 1)
 
 
@@ -108,18 +101,6 @@ class TestMoments:
         asym = moment_asymptotic(dec, coords, p).value
         assert asym >= exact
         assert abs(asym - exact) <= 0.005 * exact
-
-    def test_uniform_bound_constant_is_stable(self):
-        # exact/bound stays O(1): the bound captures the true scaling
-        for p in (1, 3):
-            ratios = []
-            for N in (20, 60, 100):
-                dec, coords = coords_for(N, delta_distribution(N, N // 2, FLOAT), FLOAT)
-                ratios.append(
-                    moment_exact(dec, coords, p).value / moment_uniform_bound(dec, p)
-                )
-            center = sum(ratios) / len(ratios)
-            assert all(abs(r - center) <= 0.2 * center for r in ratios)
 
     def test_undefined_for_consensus_start(self):
         dec, coords = coords_for(6, delta_distribution(6, 0))

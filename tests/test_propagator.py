@@ -13,7 +13,6 @@ from votermodel import (
     build_decomposition,
     delta_distribution,
     dense_oracle,
-    limit_distribution,
     make_distribution,
     propagate_spectral,
     single_step,
@@ -131,19 +130,23 @@ class TestPropagation:
 
 
 class TestLimitDistribution:
+    """The m -> infinity limit puts mass d_0 on consensus 0 and d_1 on N."""
+
     @pytest.mark.parametrize("N,j", [(5, 2), (10, 7)])
     def test_fixation_probability_is_martingale(self, N, j):
         dec = build_decomposition(N)
-        lim = limit_distribution(dec, to_coordinates(dec, delta_distribution(N, j)))
-        assert lim.a[N] == Fraction(j, N)
-        assert lim.a[0] == Fraction(N - j, N)
-        assert all(lim.a[i] == 0 for i in range(1, N))
+        a0 = delta_distribution(N, j)
+        coords = to_coordinates(dec, a0)
+        assert coords.d[1] == sum(i * ai for i, ai in enumerate(a0.a)) / N
+        assert coords.d[1] == Fraction(j, N)
+        assert coords.d[0] == Fraction(N - j, N)
 
     def test_agrees_with_long_propagation(self):
         N = 12
         dec = build_decomposition(N, FLOAT)
         coords = to_coordinates(dec, delta_distribution(N, 5, FLOAT))
-        lim = np.array(limit_distribution(dec, coords).a)
+        lim = np.zeros(N + 1)
+        lim[0], lim[N] = coords.d[0], coords.d[1]
         far = np.array(propagate_spectral(dec, coords, 10**7).a)
         assert np.abs(lim - far).max() <= 1e-12
 
