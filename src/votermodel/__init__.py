@@ -1,6 +1,6 @@
 """Exact spectral solutions and Monte Carlo simulation of the voter model."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .montecarlo import (
     RunRecord,

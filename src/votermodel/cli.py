@@ -161,16 +161,6 @@ def cmd_propagate(args):
         ("n", N), ("init", args.init), ("steps", args.steps),
         ("method", args.method), ("mode", mode),
     ]
-    if N <= AUTO_EXACT_N:
-        # cross-check the two routes (always affordable in float arithmetic)
-        fdec = sp.build_decomposition(N, sp.FLOAT)
-        fa0 = _parse_init_distribution(args.init, N, sp.FLOAT)
-        fspec = pg.propagate_spectral(fdec, sp.to_coordinates(fdec, fa0), args.steps)
-        fdir = pg.dense_oracle(
-            pg.transition_operator(N, sp.FLOAT), fa0, args.steps, limit=max(N, pg.ORACLE_LIMIT)
-        )
-        diff = max(abs(x - y) for x, y in zip(fspec.a, fdir.a))
-        params.append(("crosscheck_max_abs_diff", format(diff, ".17g")))
     rows = [[str(j), _fmt(aj)] for j, aj in enumerate(dist.a)]
     _emit(args.out, "propagate", params, ["j", "a_j"], rows)
     return 0

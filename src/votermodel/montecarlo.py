@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .observables import UndefinedMomentError
 from .topology import BIPARTITE, COMPLETE, Topology, consensus_scale
 
 _CHUNK = 8192
@@ -275,6 +276,11 @@ def estimate_moments(records, seed, p_max, normalization=1.0):
         raise ValueError("need at least two uncensored runs to estimate moments")
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
+    if not any(times):
+        # a consensus start: every moment is 0 and ln(T_p) is undefined
+        raise UndefinedMomentError(
+            "initial distribution has no interior mass; consensus time is identically 0"
+        )
     t = np.asarray(times, dtype=float) / float(normalization)
     p_values = tuple(range(1, p_max + 1))
     moments, errors, logm = [], [], []

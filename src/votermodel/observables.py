@@ -14,10 +14,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-import numpy as np
-
-from .propagator import ORACLE_LIMIT, OracleLimitError
-from .spectral import EXACT, FLOAT
+from .propagator import ORACLE_LIMIT, _check_oracle, _eigen_sum
+from .spectral import EXACT
 
 
 class UndefinedMomentError(ValueError):
@@ -126,18 +124,23 @@ def _check_moment_args(coords, p):
         )
 
 
+def _moment(decomp, coords, p, term, method):
+    """``(1/N) sum_{k>=2} term(s_k, lambda_k)``, the body of both moment routes."""
+    _check_moment_args(coords, p)
+    s = s_coefficients(decomp, coords)
+    total = sum(term(sk, pair.lam) for sk, pair in zip(s, decomp.pairs[2:]))
+    return ConsensusMoment(p=p, value=total / decomp.N, method=method)
+
+
 def moment_exact(decomp, coords, p):
     """Exact p-th moment via the Eulerian closed form of the m-sum.
 
     ``E[T^p] = (1/N) sum_{k>=2} s_k A_p(lambda_k)/(1-lambda_k)^(p+1)``;
     no large-N approximation is involved.
     """
-    _check_moment_args(coords, p)
-    N = decomp.N
-    s = s_coefficients(decomp, coords)
-    total = sum(sk * power_sum(pair.lam, p) for sk, pair in zip(s, decomp.pairs[2:]))
-    total = total / N
-    return ConsensusMoment(p=p, value=total, method="exact-spectral")
+    return _moment(
+        decomp, coords, p, lambda sk, lam: sk * power_sum(lam, p), "exact-spectral"
+    )
 
 
 def moment_asymptotic(decomp, coords, p):
@@ -147,13 +150,10 @@ def moment_asymptotic(decomp, coords, p):
     is the constant 1); for p > 1 it overshoots by a vanishing relative
     margin as N grows.
     """
-    _check_moment_args(coords, p)
-    N = decomp.N
-    s = s_coefficients(decomp, coords)
-    fact = factorial(p)
-    total = sum(sk * fact / (1 - pair.lam) ** (p + 1) for sk, pair in zip(s, decomp.pairs[2:]))
-    total = total / N
-    return ConsensusMoment(p=p, value=total, method="large-n-asymptotic")
+    return _moment(
+        decomp, coords, p,
+        lambda sk, lam: sk * factorial(p) / (1 - lam) ** (p + 1), "large-n-asymptotic",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -196,11 +196,6 @@ def stirling2(p, r):
     if r == 0 or r > p:
         return 0
     return r * stirling2(p - 1, r) + stirling2(p - 1, r - 1)
-
-
-def _check_oracle(op, limit):
-    if op.N > limit:
-        raise OracleLimitError(f"oracle limited to N <= {limit}, got N={op.N}")
 
 
 def moments_oracle(op, a0, p, limit=ORACLE_LIMIT):
@@ -275,22 +270,11 @@ def local_times_exact(decomp, coords):
     """
     N = decomp.N
     scale = N * (N - 1)
-    if decomp.mode == FLOAT:
-        d = np.asarray(coords.d[2:], dtype=float)
-        ks = np.arange(2, N + 1, dtype=float)
-        C = np.array([pair.c[1:N] for pair in decomp.pairs[2:]])
-        m = scale * (d / (ks * (ks - 1))) @ C
-        return LocalTimes(N=N, M=tuple(m.tolist()))
-    out = [Fraction(0)] * (N - 1)
-    for k in range(2, N + 1):
-        dk = coords.d[k]
-        if dk == 0:
-            continue
-        w = Fraction(scale, k * (k - 1)) * dk
-        cj = decomp.pairs[k].c
-        for idx in range(N - 1):
-            out[idx] += w * cj[idx + 1]
-    return LocalTimes(N=N, M=tuple(out))
+    weights = [0, 0] + [
+        0 if dk == 0 else Fraction(scale, k * (k - 1)) * dk
+        for k, dk in enumerate(coords.d[2:], start=2)
+    ]
+    return LocalTimes(N=N, M=_eigen_sum(decomp, weights, 1, N))
 
 
 # ---------------------------------------------------------------------------

@@ -131,10 +131,14 @@ def single_step(op, dist):
     return MacrostateDistribution(a=tuple(out), step=dist.step + 1)
 
 
-def dense_oracle(op, a0, m, limit=ORACLE_LIMIT):
-    """Ground truth by m-fold application of single_step."""
+def _check_oracle(op, limit):
     if op.N > limit:
         raise OracleLimitError(f"oracle limited to N <= {limit}, got N={op.N}")
+
+
+def dense_oracle(op, a0, m, limit=ORACLE_LIMIT):
+    """Ground truth by m-fold application of single_step."""
+    _check_oracle(op, limit)
     if m < 0:
         raise ValueError("step count must be >= 0")
     dist = a0
@@ -143,30 +147,29 @@ def dense_oracle(op, a0, m, limit=ORACLE_LIMIT):
     return dist
 
 
+def _eigen_sum(decomp, weights, lo, hi):
+    """``sum_k w_k c^(k)_j`` for j = lo..hi-1, with one weight per pair k.
+
+    The one eigenvector sum behind propagation and local times, in either
+    mode: exact on Fractions, the same loop on floats.  Zero weights are
+    skipped.
+    """
+    zero = Fraction(0) if decomp.mode == EXACT else 0.0
+    out = [zero] * (hi - lo)
+    for w, pair in zip(weights, decomp.pairs):
+        if w != 0:
+            out = [o + w * cj for o, cj in zip(out, pair.c[lo:hi])]
+    return tuple(out)
+
+
 def propagate_spectral(decomp, coords, m):
     """Closed-form m-step distribution ``sum_k d_k lambda_k^m c^(k)``."""
     if m < 0:
         raise ValueError("step count must be >= 0")
-    N = decomp.N
-    if decomp.mode == FLOAT:
-        d = np.asarray(coords.d, dtype=float)
-        lams = np.array([p.lam for p in decomp.pairs])
-        C = np.array([p.c for p in decomp.pairs])
-        a = (d * lams**m) @ C
-        return MacrostateDistribution(a=tuple(a.tolist()), step=m)
-    if m > EXACT_STEP_CAP:
+    if decomp.mode == EXACT and m > EXACT_STEP_CAP:
         raise ValueError(
             f"exact-mode step count capped at {EXACT_STEP_CAP} "
             "(rational powers grow without bound); use float mode"
         )
-    out = [Fraction(0)] * (N + 1)
-    for dk, pair in zip(coords.d, decomp.pairs):
-        if dk == 0:
-            continue
-        w = dk * pair.lam**m
-        if w == 0:
-            continue
-        for j in range(N + 1):
-            out[j] += w * pair.c[j]
-    return MacrostateDistribution(a=tuple(out), step=m)
-
+    weights = (0 if dk == 0 else dk * pair.lam**m for dk, pair in zip(coords.d, decomp.pairs))
+    return MacrostateDistribution(a=_eigen_sum(decomp, weights, 0, decomp.N + 1), step=m)

@@ -37,14 +37,6 @@ class Topology:
     indptr: tuple | None = None
     indices: tuple | None = None
 
-    def neighbors(self, i):
-        if self.kind == COMPLETE:
-            return [j for j in range(self.N) if j != i]
-        if self.kind == BIPARTITE:
-            n1 = self.groups[0]
-            return list(range(n1, self.N)) if i < n1 else list(range(n1))
-        return list(self.indices[self.indptr[i] : self.indptr[i + 1]])
-
 
 @dataclass(frozen=True)
 class DegreeMoments:

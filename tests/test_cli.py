@@ -83,12 +83,25 @@ class TestPropagate:
         )
         assert data_rows(out_s)[1] == data_rows(out_d)[1]
 
-    def test_crosscheck_recorded(self, capsys):
-        _, out, _ = run(
-            capsys, "propagate", "--n", "10", "--init", "uniform", "--steps", "5"
+    def test_spectral_runs_no_second_route(self, capsys, monkeypatch):
+        # the CSV is the spectral result alone: no float rebuild, no stepping
+        build = sp.build_decomposition
+
+        def exact_build(N, mode=sp.EXACT):
+            if mode != sp.EXACT:
+                raise AssertionError("float decomposition built")
+            return build(N, mode)
+
+        monkeypatch.setattr(sp, "build_decomposition", exact_build)
+        monkeypatch.setattr(pg, "dense_oracle", _raise(AssertionError))
+        code, out, _ = run(
+            capsys, "propagate", "--n", "64", "--init", "delta:21", "--steps", "200",
+            "--method", "spectral",
         )
-        line = next(ln for ln in out.splitlines() if "crosscheck_max_abs_diff" in ln)
-        assert float(line.split("=")[1]) <= 1e-12
+        assert code == 0
+        assert "# mode=exact" in out
+        assert "crosscheck" not in out
+        assert len(data_rows(out)[1]) == 65
 
     def test_auto_float_for_large_m(self, capsys):
         _, out, _ = run(
@@ -260,6 +273,21 @@ class TestSimulate:
         )
         assert code == 0
         assert "p,T_p" in out
+
+    @pytest.mark.parametrize("topology,init", [
+        ("er:20,0.5", "delta:0"), ("complete:10", "delta:10"),
+    ])
+    def test_consensus_start_is_an_error(self, capsys, topology, init):
+        code, out, err = run(
+            capsys, "simulate", "--topology", topology, "--init", init,
+            "--runs", "2", "--seed", "1", "--pmax", "2",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "votermodel: error: initial distribution has no interior mass; "
+            "consensus time is identically 0\n"
+        )
 
     @pytest.mark.parametrize("topology", ["complete:10", "bipartite:6,4"])
     @pytest.mark.parametrize("rho", ["inf", "-inf", "1e400", "nan", "1.5"])

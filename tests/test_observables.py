@@ -145,6 +145,19 @@ class TestLocalTimes:
         assert spectral.M == oracle.M
         assert set(spectral.M) == {Fraction(N * (N - 1), 2 * (N + 1))}
 
+    @pytest.mark.parametrize("j", [21, 32, None])
+    def test_float_spectral_rounds_exact(self, j):
+        # float mode runs the exact loop on rounded pairs (j=None: uniform start)
+        N = 64
+        got = {}
+        for mode in (EXACT, FLOAT):
+            a0 = uniform_distribution(N, mode) if j is None else delta_distribution(N, j, mode)
+            got[mode] = local_times_exact(*coords_for(N, a0, mode)).M
+        assert all(isinstance(v, float) for v in got[FLOAT])
+        assert all(
+            abs(f - float(e)) <= 1e-13 * float(e) for f, e in zip(got[FLOAT], got[EXACT])
+        )
+
     def test_counts_initial_state(self):
         # M_j >= a0_j: the starting visit at m = 0 is included
         N = 8

@@ -101,6 +101,21 @@ class TestPropagation:
         direct = dense_oracle(transition_operator(N, FLOAT), a0, 1000)
         assert np.abs(np.array(spectral.a) - np.array(direct.a)).max() <= 1e-12
 
+    @pytest.mark.parametrize("j", [21, 32, None])
+    def test_float_spectral_rounds_exact(self, j):
+        # float mode runs the exact loop on rounded pairs (j=None: uniform start)
+        N = 64
+        decs, coords = {}, {}
+        for mode in (EXACT, FLOAT):
+            a0 = uniform_distribution(N, mode) if j is None else delta_distribution(N, j, mode)
+            decs[mode] = build_decomposition(N, mode)
+            coords[mode] = to_coordinates(decs[mode], a0)
+        for m in (1, 37, 256):
+            exact = propagate_spectral(decs[EXACT], coords[EXACT], m).a
+            flt = propagate_spectral(decs[FLOAT], coords[FLOAT], m).a
+            assert all(isinstance(v, float) for v in flt)
+            assert max(abs(f - float(e)) for f, e in zip(flt, exact)) <= 1e-13
+
     def test_zero_steps_is_identity(self):
         dec = build_decomposition(8)
         a0 = uniform_distribution(8)

@@ -34,15 +34,20 @@ class TestGenerators:
         assert topo.kind == COMPLETE
         assert topo.degrees == (4, 4, 4, 4, 4)
         assert sum(topo.degrees) // 2 == 10
-        assert topo.neighbors(2) == [0, 1, 3, 4]
+        # every other node is a neighbor, so no adjacency is stored
+        assert topo.groups is None and topo.indptr is None and topo.indices is None
 
     def test_bipartite(self):
         topo = generate_bipartite(2, 3)
         assert topo.kind == BIPARTITE
         assert topo.N == 5
         assert topo.degrees == (3, 3, 2, 2, 2)
-        assert topo.neighbors(0) == [2, 3, 4]
-        assert topo.neighbors(4) == [0, 1]
+        # the node kernel draws a neighbor of group 1 (nodes 0..n1-1) from
+        # n1..N-1 and a neighbor of group 2 from 0..n1-1
+        n1, n2 = topo.groups
+        assert list(range(n1, n1 + n2)) == [2, 3, 4]
+        assert list(range(n1)) == [0, 1]
+        assert topo.indptr is None and topo.indices is None
         assert sum(topo.degrees) // 2 == 6
 
     def test_er_is_deterministic(self):
@@ -54,16 +59,16 @@ class TestGenerators:
 
     def test_er_is_connected_and_consistent(self):
         topo = generate_er(40, 0.1, seed=3)
-        assert all(
-            i in topo.neighbors(j) for i in range(topo.N) for j in topo.neighbors(i)
-        )
+        nbrs = [topo.indices[topo.indptr[i] : topo.indptr[i + 1]] for i in range(topo.N)]
+        assert [len(row) for row in nbrs] == list(topo.degrees)
+        assert all(i in nbrs[j] for i in range(topo.N) for j in nbrs[i])
         # connectivity by breadth-first reachability
         seen = {0}
         frontier = [0]
         while frontier:
             nxt = []
             for i in frontier:
-                for j in topo.neighbors(i):
+                for j in nbrs[i]:
                     if j not in seen:
                         seen.add(j)
                         nxt.append(j)
