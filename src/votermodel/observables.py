@@ -125,10 +125,14 @@ def _check_moment_args(coords, p):
 
 
 def _moment(decomp, coords, p, term, method):
-    """``(1/N) sum_{k>=2} term(s_k, lambda_k)``, the body of both moment routes."""
+    """``(1/N) sum_{k>=2} term(s_k, lambda_k)``, the body of both moment routes.
+
+    Terms with s_k = 0 are skipped: they add an exact zero.  By the
+    c_1 + c_{N-1} symmetry that is every other k for a delta start.
+    """
     _check_moment_args(coords, p)
     s = s_coefficients(decomp, coords)
-    total = sum(term(sk, pair.lam) for sk, pair in zip(s, decomp.pairs[2:]))
+    total = sum(term(sk, pair.lam) for sk, pair in zip(s, decomp.pairs[2:]) if sk != 0)
     return ConsensusMoment(p=p, value=total / decomp.N, method=method)
 
 
@@ -274,7 +278,7 @@ def local_times_exact(decomp, coords):
         0 if dk == 0 else Fraction(scale, k * (k - 1)) * dk
         for k, dk in enumerate(coords.d[2:], start=2)
     ]
-    return LocalTimes(N=N, M=_eigen_sum(decomp, weights, 1, N))
+    return LocalTimes(N=N, M=_eigen_sum(decomp, weights)[1:N])
 
 
 # ---------------------------------------------------------------------------

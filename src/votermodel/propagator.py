@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 
@@ -102,33 +103,52 @@ def uniform_distribution(N, mode=EXACT):
     return MacrostateDistribution(a=(v,) * (N + 1))
 
 
+def _steps(op, a, m):
+    """``a`` after m steps, the one step kernel behind both step routes.
+
+    Exact mode carries integers over one denominator: with D the lcm of
+    the rate denominators and ``r_j = D p_j``, one step reads
+    ``D a'_j = (D - 2 r_j) a_j + r_{j-1} a_{j-1} + r_{j+1} a_{j+1}``, so
+    the numerators over ``L D^m`` evolve in integers and each entry
+    becomes one Fraction at the end.  Float mode keeps numpy arrays
+    across the steps and makes one tuple at the end.
+    """
+    N = op.N
+    if len(a) != N + 1:
+        raise ValueError(f"distribution length {len(a)} does not match N={N}")
+    if op.mode == FLOAT:
+        pr = np.asarray(op.p, dtype=float)
+        stay, down, up = 1.0 - 2.0 * pr, pr[1:], pr[:-1]
+        arr = np.asarray(a, dtype=float)
+        for _ in range(m):
+            out = stay * arr
+            out[:-1] += down * arr[1:]
+            out[1:] += up * arr[:-1]
+            arr = out
+        return tuple(arr.tolist())
+    D = lcm(*(pj.denominator for pj in op.p))
+    r = [pj.numerator * (D // pj.denominator) for pj in op.p]
+    stay = [D - 2 * rj for rj in r]
+    L = lcm(*(v.denominator for v in a))
+    x = [v.numerator * (L // v.denominator) for v in a]
+    for _ in range(m):
+        x = [
+            stay[j] * x[j]
+            + (r[j - 1] * x[j - 1] if j > 0 else 0)
+            + (r[j + 1] * x[j + 1] if j < N else 0)
+            for j in range(N + 1)
+        ]
+    den = L * D**m
+    return tuple(Fraction(v, den) for v in x)
+
+
 def single_step(op, dist):
     """Apply the propagator once.
 
     Boundary rows reduce to ``a_0' = a_0 + p_1 a_1`` and
     ``a_N' = a_N + p_{N-1} a_{N-1}``.
     """
-    a = dist.a
-    N = op.N
-    if len(a) != N + 1:
-        raise ValueError(f"distribution length {len(a)} does not match N={N}")
-    p = op.p
-    if op.mode == FLOAT:
-        arr = np.asarray(a, dtype=float)
-        pr = np.asarray(p, dtype=float)
-        out = (1.0 - 2.0 * pr) * arr
-        out[:-1] += pr[1:] * arr[1:]
-        out[1:] += pr[:-1] * arr[:-1]
-        return MacrostateDistribution(a=tuple(out.tolist()), step=dist.step + 1)
-    out = []
-    for j in range(N + 1):
-        v = (1 - 2 * p[j]) * a[j]
-        if j > 0:
-            v += p[j - 1] * a[j - 1]
-        if j < N:
-            v += p[j + 1] * a[j + 1]
-        out.append(v)
-    return MacrostateDistribution(a=tuple(out), step=dist.step + 1)
+    return MacrostateDistribution(a=_steps(op, dist.a, 1), step=dist.step + 1)
 
 
 def _check_oracle(op, limit):
@@ -137,28 +157,57 @@ def _check_oracle(op, limit):
 
 
 def dense_oracle(op, a0, m, limit=ORACLE_LIMIT):
-    """Ground truth by m-fold application of single_step."""
+    """Ground truth by m steps of the single-step kernel."""
     _check_oracle(op, limit)
     if m < 0:
         raise ValueError("step count must be >= 0")
-    dist = a0
-    for _ in range(m):
-        dist = single_step(op, dist)
-    return dist
+    if m == 0:
+        return a0
+    return MacrostateDistribution(a=_steps(op, a0.a, m), step=a0.step + m)
 
 
-def _eigen_sum(decomp, weights, lo, hi):
-    """``sum_k w_k c^(k)_j`` for j = lo..hi-1, with one weight per pair k.
+def _eigen_sum(decomp, weights):
+    """``sum_k w_k c^(k)_j`` for j = 0..N, with one weight per pair k.
 
-    The one eigenvector sum behind propagation and local times, in either
-    mode: exact on Fractions, the same loop on floats.  Zero weights are
-    skipped.
+    The one eigenvector sum behind propagation and local times.  Zero
+    weights are skipped.  Float mode is the plain loop.  Exact mode adds
+    the consensus pairs k = 0, 1 (the indicators e_0 and e_N) at their one
+    entry, and sums the interior pairs in integers: with L the lcm of the
+    denominators ``w_k.denominator * den_k``, ``f_k = w_k L / den_k`` and
+    G = gcd(f_k), entry j is ``(G/L) sum_k (f_k/G) num_kj``, one division
+    per entry.  The chain is symmetric under j -> N - j, so
+    ``c^(k)_{N-j} = (-1)^k c^(k)_j``: the even-k and odd-k parts are summed
+    over j <= N/2 only, and the upper half is their difference.
     """
-    zero = Fraction(0) if decomp.mode == EXACT else 0.0
-    out = [zero] * (hi - lo)
-    for w, pair in zip(weights, decomp.pairs):
-        if w != 0:
-            out = [o + w * cj for o, cj in zip(out, pair.c[lo:hi])]
+    N = decomp.N
+    weights = list(weights)
+    if decomp.mode != EXACT:
+        out = [0.0] * (N + 1)
+        for w, pair in zip(weights, decomp.pairs):
+            if w != 0:
+                out = [o + w * cj for o, cj in zip(out, pair.c)]
+        return tuple(out)
+    terms = [
+        (w, pair) for w, pair in zip(weights[2:], decomp.pairs[2:]) if w != 0
+    ]
+    out = [Fraction(0)] * (N + 1)
+    if terms:
+        L = lcm(*(w.denominator * pair.den for w, pair in terms))
+        f = [w.numerator * (L // (w.denominator * pair.den)) for w, pair in terms]
+        G = gcd(*f)
+        h = N // 2 + 1
+        parts = ([0] * h, [0] * h)  # even k, odd k; entries j = 0..N//2
+        for fk, (_, pair) in zip(f, terms):
+            fk //= G
+            part = parts[pair.k % 2]
+            part[:] = [s + fk * v for s, v in zip(part, pair.num[:h])]
+        even, odd = parts
+        acc = [e + o for e, o in zip(even, odd)]
+        acc += [even[i] - odd[i] for i in range(N - h, -1, -1)]
+        scale = Fraction(G, L)
+        out = [scale * s for s in acc]
+    out[0] += weights[0]
+    out[N] += weights[1]
     return tuple(out)
 
 
@@ -172,4 +221,4 @@ def propagate_spectral(decomp, coords, m):
             "(rational powers grow without bound); use float mode"
         )
     weights = (0 if dk == 0 else dk * pair.lam**m for dk, pair in zip(coords.d, decomp.pairs))
-    return MacrostateDistribution(a=_eigen_sum(decomp, weights, 0, decomp.N + 1), step=m)
+    return MacrostateDistribution(a=_eigen_sum(decomp, weights), step=m)

@@ -15,7 +15,9 @@ itself is kept only as the paper's Pascal route (:func:`b_coefficients`,
 :func:`binomial_transform`) for the tests to compare against.
 
 Everything is computed in integer arithmetic with denominators cleared.
-Exact mode turns the integers into Fractions; float mode rounds each ratio
+Exact mode turns the integers into Fractions and also keeps them, reduced
+over one denominator per pair, for the integer eigenvector sums of the
+propagator; float mode rounds each ratio
 once (Python's int true division is correctly rounded), so it gives the
 same doubles as rounding the exact Fractions.  The alternating signs of c
 make a direct floating-point evaluation useless for moderate N, so there
@@ -24,9 +26,9 @@ is no "native float" pipeline on purpose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 from numbers import Integral
 
 EXACT = "exact"
@@ -59,11 +61,18 @@ class NumericOverflowError(OverflowError, ValueError):
 
 @dataclass(frozen=True)
 class EigenPair:
-    """One eigenvalue with its macrostate-space eigenvector components c."""
+    """One eigenvalue with its macrostate-space eigenvector components c.
+
+    Exact pairs also keep c as coprime integers over one denominator,
+    ``c_j = num[j] / den``, for the integer eigenvector sums of the
+    propagator; float pairs leave ``num`` as None.
+    """
 
     k: int
     lam: object
     c: tuple
+    num: tuple = field(default=None, compare=False, repr=False)
+    den: int = field(default=1, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -196,7 +205,11 @@ def inverse_binomial_transform(c):
 def _make_pair(N, k, lam, c_ints, den, mode):
     """EigenPair with c = c_ints / den in ``mode``."""
     if mode == EXACT:
-        return EigenPair(k=k, lam=lam, c=tuple(Fraction(v, den) for v in c_ints))
+        g = gcd(den, *c_ints)
+        num, den = tuple(v // g for v in c_ints), den // g
+        return EigenPair(
+            k=k, lam=lam, c=tuple(Fraction(v, den) for v in num), num=num, den=den
+        )
     what = f"eigenvector component (N={N}, k={k})"
     return EigenPair(
         k=k, lam=float(lam), c=tuple(_to_float(v, den, what) for v in c_ints)

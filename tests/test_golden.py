@@ -54,6 +54,14 @@ GOLDEN = {
         ("local-times", "--n", "64", "--init", "uniform", "--method", "oracle"), None,
         "10f8e8fa3ae7bd9b9da115d6f512eed67bc94b24dfb903dbe3dc1c8b2d0d5741",
     ),
+    "propagate-64-uniform-256": (
+        ("propagate", "--n", "64", "--init", "uniform", "--steps", "256"), None,
+        "81721e23636296209e88e9ec498e67f38a0b8bbbf187121601de79be5efea726",
+    ),
+    "local-times-64-delta-1": (
+        ("local-times", "--n", "64", "--init", "delta:1"), None,
+        "a1b202e7bc0e16a5b60a3fcd2066660aebfd19300507ac297d30a2c51a118a4d",
+    ),
     "simulate-complete-30": (
         ("simulate", "--topology", "complete:30", "--init", "delta:15", *SIM),
         ".runs.csv",

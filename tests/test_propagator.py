@@ -13,6 +13,8 @@ from votermodel import (
     build_decomposition,
     delta_distribution,
     dense_oracle,
+    local_times_exact,
+    local_times_oracle,
     make_distribution,
     propagate_spectral,
     single_step,
@@ -21,7 +23,7 @@ from votermodel import (
     transition_rates,
     uniform_distribution,
 )
-from votermodel.propagator import OracleLimitError
+from votermodel.propagator import MacrostateDistribution, OracleLimitError
 
 
 def random_exact_distribution(weights):
@@ -83,6 +85,23 @@ class TestSingleStep:
         with pytest.raises(ValueError):
             single_step(transition_operator(5), delta_distribution(4, 1))
 
+    @pytest.mark.parametrize("N", [2, 9, 33])
+    def test_maps_eigenvectors_to_multiples(self, N):
+        # signed vectors that are no distribution, as the eigen-equation reads them
+        op = transition_operator(N)
+        for pair in build_decomposition(N).pairs:
+            image = single_step(op, MacrostateDistribution(a=pair.c)).a
+            assert image == tuple(pair.lam * v for v in pair.c)
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_oracle_is_repeated_single_step(self, mode):
+        for N in range(2, 13):
+            op = transition_operator(N, mode)
+            dist = a0 = delta_distribution(N, N // 3, mode)
+            for m in range(21):
+                assert dense_oracle(op, a0, m) == dist
+                dist = single_step(op, dist)
+
 
 class TestPropagation:
     @pytest.mark.parametrize("N,j,m", [(4, 2, 7), (9, 3, 25), (12, 6, 60)])
@@ -142,6 +161,42 @@ class TestPropagation:
             dense_oracle(
                 transition_operator(300, FLOAT), delta_distribution(300, 1, FLOAT), 1
             )
+
+
+def integer_sum_init(kind, N):
+    """Starts that take each branch of the exact integer eigenvector sum."""
+    if kind == "uniform":  # one nonzero interior coordinate, d_2
+        return uniform_distribution(N)
+    if kind == "mixed":  # consensus mass beside interior mass
+        a = [Fraction(0)] * (N + 1)
+        a[0], a[N] = Fraction(1, 6), Fraction(1, 3)
+        a[1] += Fraction(1, 4)
+        a[N // 2] += Fraction(1, 4)
+        return make_distribution(a)
+    return delta_distribution(N, {"first": 1, "last": N - 1, "zero": 0, "full": N}[kind])
+
+
+class TestIntegerSums:
+    """Exact spectral sums equal the independent oracles for every N <= 32."""
+
+    KINDS = ["uniform", "first", "last", "zero", "full", "mixed"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_propagation_equals_oracle(self, kind):
+        for N in range(2, 33):
+            dec, op = build_decomposition(N), transition_operator(N)
+            a0 = integer_sum_init(kind, N)
+            coords = to_coordinates(dec, a0)
+            for m in (0, 1, 37, 256):
+                assert propagate_spectral(dec, coords, m).a == dense_oracle(op, a0, m).a
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_local_times_equal_oracle(self, kind):
+        for N in range(2, 33):
+            dec = build_decomposition(N)
+            a0 = integer_sum_init(kind, N)
+            lt = local_times_exact(dec, to_coordinates(dec, a0))
+            assert lt.M == local_times_oracle(transition_operator(N), a0).M
 
 
 class TestLimitDistribution:

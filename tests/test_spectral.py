@@ -285,6 +285,15 @@ class TestDifferential:
             b = consensus_b[pair.k] if pair.k < 2 else b_coefficients(N, pair.k)
             assert pair.c == binomial_transform(b)
 
+    @pytest.mark.parametrize("N", [2, 3, 17, 64])
+    def test_stored_integers_reconstruct_c(self, N):
+        from math import gcd
+
+        for pair in build_decomposition(N).pairs:
+            assert tuple(Fraction(v, pair.den) for v in pair.num) == pair.c
+            assert gcd(pair.den, *pair.num) == 1
+        assert all(pair.num is None for pair in build_decomposition(N, FLOAT).pairs)
+
     @pytest.mark.parametrize("N", [5, 64, 100])
     def test_float_pairs_are_rounded_exact_pairs(self, N):
         exact = build_decomposition(N, EXACT).pairs
