@@ -278,9 +278,7 @@ def estimate_moments(records, seed, p_max, normalization=1.0):
         raise ValueError("p_max must be >= 1")
     if not any(times):
         # a consensus start: every moment is 0 and ln(T_p) is undefined
-        raise UndefinedMomentError(
-            "initial distribution has no interior mass; consensus time is identically 0"
-        )
+        raise UndefinedMomentError()
     t = np.asarray(times, dtype=float) / float(normalization)
     p_values = tuple(range(1, p_max + 1))
     moments, errors, logm = [], [], []

@@ -21,6 +21,9 @@ from .spectral import EXACT
 class UndefinedMomentError(ValueError):
     """Raised for moments of an initial distribution with no interior mass."""
 
+    def __str__(self):
+        return "initial distribution has no interior mass; consensus time is identically 0"
+
 
 @dataclass(frozen=True)
 class ConsensusMoment:
@@ -105,7 +108,9 @@ def s_coefficients(decomp, coords):
     """Weights s_k = d_k (c_1^(k) + c_{N-1}^(k)) for k = 2..N.
 
     These carry the boundary-adjacent components that feed the absorption
-    flux; the consensus pairs k = 0, 1 never contribute.
+    flux; the consensus pairs k = 0, 1 never contribute.  The mirror
+    symmetry ``c^(k)_{N-j} = (-1)^k c^(k)_j`` makes s_k = 0 for every odd
+    k, whatever the start.
     """
     N = decomp.N
     return tuple(
@@ -119,16 +124,14 @@ def _check_moment_args(coords, p):
         raise ValueError(f"moment order must be >= 1, got {p}")
     # no weight on any interior pair means the walk starts absorbed
     if all(abs(dk) <= 1e-300 for dk in coords.d[2:]):
-        raise UndefinedMomentError(
-            "initial distribution has no interior mass; consensus time is identically 0"
-        )
+        raise UndefinedMomentError()
 
 
 def _moment(decomp, coords, p, term, method):
     """``(1/N) sum_{k>=2} term(s_k, lambda_k)``, the body of both moment routes.
 
-    Terms with s_k = 0 are skipped: they add an exact zero.  By the
-    c_1 + c_{N-1} symmetry that is every other k for a delta start.
+    Terms with s_k = 0 are skipped: they add an exact zero.  Since
+    ``c^(k)_{N-1} = (-1)^k c^(k)_1``, that is every odd k, for any start.
     """
     _check_moment_args(coords, p)
     s = s_coefficients(decomp, coords)
@@ -216,9 +219,7 @@ def moments_oracle(op, a0, p, limit=ORACLE_LIMIT):
     a = a0.a if hasattr(a0, "a") else a0
     interior = list(a[1:N])
     if all(v == 0 for v in interior):
-        raise UndefinedMomentError(
-            "initial distribution has no interior mass; consensus time is identically 0"
-        )
+        raise UndefinedMomentError()
     one = Fraction(1) if op.mode == EXACT else 1.0
     sub, diag, sup = _interior_tridiag(op)
     pr = op.p
@@ -315,13 +316,12 @@ def greens_kernel(rho, xi):
     return xi / rho
 
 
-def greens_local_time(f, rho, N, abs_tol=1e-10):
+def greens_local_time(f, rho, N):
     """Continuum local time ``M(rho) ~ N int f(xi) g(rho, xi) dxi``.
 
-    ``f`` is either ``("point", xi)``, ``"uniform"``, or a callable density
-    on (0, 1) integrating to 1.  Point masses and the uniform density are
-    closed form (``int_0^1 g(rho, xi) dxi = rho/2 + (1-rho)/2 = 1/2``);
-    other densities use adaptive quadrature split at the kernel kink.
+    ``f`` is either ``("point", xi)`` or ``"uniform"``, both closed form:
+    a point mass gives ``N g(rho, xi)`` and the uniform density gives
+    ``int_0^1 g(rho, xi) dxi = rho/2 + (1-rho)/2 = 1/2``.
     """
     if not 0 < rho < 1:
         raise ValueError(f"density must lie in (0, 1), got rho={rho}")
@@ -329,18 +329,4 @@ def greens_local_time(f, rho, N, abs_tol=1e-10):
         return N * greens_kernel(rho, float(f[1]))
     if f == "uniform":
         return N / 2
-    if not callable(f):
-        raise ValueError(f"unsupported initial-density spec {f!r}")
-    # scipy costs most of the package's import time and only this branch uses it
-    from scipy.integrate import quad
-
-    val, _ = quad(
-        lambda xi: f(xi) * greens_kernel(rho, xi),
-        0.0,
-        1.0,
-        points=[rho],
-        epsabs=abs_tol,
-        epsrel=1e-12,
-        limit=200,
-    )
-    return N * val
+    raise ValueError(f"unsupported initial-density spec {f!r}")

@@ -6,22 +6,25 @@ absorbing boundaries at 0 and N.  The transition operator diagonalizes in
 closed form: eigenvalues ``lambda_k = 1 - k(k-1)/(N(N-1))``.  In the
 shifted basis ``u = x - y`` the operator is lower bidiagonal, so the
 u-basis eigenvectors b (one-term recurrence) and the left eigenvectors
-(product form) are explicit.  The macrostate eigenvectors c are the signed
-binomial (Pascal) transform of b.  Only c is stored: it is computed from
-the eigen-equation itself, read as a three-term recurrence that needs just
-the last component of b, and every pair is re-checked against all rows of
+(product form) are explicit.  The recurrence closes in binomials,
+``b_i = C(i-1, k-1) C(N+k-1, N-i) / C(N+k-1, N-k)`` (the Hahn-polynomial
+structure of the Moran model), so ``C(N+k-1, N-k)`` clears every
+denominator of b.  The macrostate eigenvectors c are the signed binomial
+(Pascal) transform of b.  Only c is stored: it is computed from the
+eigen-equation itself, read as a three-term recurrence that needs just the
+last component ``b_N``, and every pair is re-checked against all rows of
 that equation.  The coordinates come from the left eigenvectors, and b
 itself is kept only as the paper's Pascal route (:func:`b_coefficients`,
 :func:`binomial_transform`) for the tests to compare against.
 
-Everything is computed in integer arithmetic with denominators cleared.
+Everything is computed in integer arithmetic over that binomial scale.
 Exact mode turns the integers into Fractions and also keeps them, reduced
 over one denominator per pair, for the integer eigenvector sums of the
-propagator; float mode rounds each ratio
-once (Python's int true division is correctly rounded), so it gives the
-same doubles as rounding the exact Fractions.  The alternating signs of c
-make a direct floating-point evaluation useless for moderate N, so there
-is no "native float" pipeline on purpose.
+propagator; float mode rounds each ratio once (Python's int true division
+is correctly rounded), so it gives the same doubles as rounding the exact
+Fractions.  The alternating signs of c make a direct floating-point
+evaluation useless for moderate N, so there is no "native float" pipeline
+on purpose.
 """
 
 from __future__ import annotations
@@ -154,15 +157,15 @@ def b_coefficients(N, k):
 
 
 def _c_integers(N, k, top):
-    """D*c for pair k >= 2 from the eigen-equation, given D*c_N = D*b_N = top.
+    """den*c for pair k >= 2 from the eigen-equation, given den*c_N = top.
 
     Row j of N(N-1) * (P - lambda_k I) c = 0, with K = k(k-1), reads
     ``(j-1)(N-j+1) c_{j-1} = (2j(N-j) - K) c_j - (j+1)(N-j-1) c_{j+1}``;
     rows N, N-1, ..., 2 give c_{N-1}, ..., c_1 and row 0 gives
-    ``c_0 = -(N-1) c_1 / K``.  With D the full denominator product of b,
-    D*c is the signed Pascal transform of the integers D*b, so every
-    division is exact; row 1 is left unused, and _verify_residual re-checks
-    all rows.
+    ``c_0 = -(N-1) c_1 / K``.  With den = C(N+k-1, N-k), the scaled b has
+    the integer entries ``C(i-1, k-1) C(N+k-1, N-i)``, and den*c is their
+    signed Pascal transform, so every division is exact; row 1 is left
+    unused, and _verify_residual re-checks all rows.
     """
     K = k * (k - 1)
     c = [0] * (N + 1)
@@ -229,14 +232,11 @@ def _consensus_pair(N, k, mode):
 
 
 def _interior_pair(N, k, mode):
-    K = k * (k - 1)
-    # D = prod (i(i-1) - K) clears the denominators of b, and
-    # D*b_N = prod (i-1)(N-i+1) is all the c-recurrence needs of b
-    den = top = 1
-    for i in range(k + 1, N + 1):
-        den *= i * (i - 1) - K
-        top *= (i - 1) * (N - i + 1)
-    c_ints = _c_integers(N, k, top)
+    # b_i = C(i-1, k-1) C(N+k-1, N-i) / C(N+k-1, N-k) in closed form, so
+    # den = C(N+k-1, N-k) makes every den*b_i an integer, and
+    # den*b_N = C(N-1, k-1) is all the c-recurrence needs of b
+    den = comb(N + k - 1, N - k)
+    c_ints = _c_integers(N, k, comb(N - 1, k - 1))
     _verify_residual(N, k, c_ints)
     return _make_pair(N, k, eigenvalue(N, k), c_ints, den, mode)
 

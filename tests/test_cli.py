@@ -34,7 +34,7 @@ def data_rows(text):
 
 
 def test_import_leaves_scipy_out():
-    # scipy is imported only for quadrature of a callable Green's density
+    # the package itself never imports scipy; only the bench metrics do
     src = str(Path(votermodel.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))

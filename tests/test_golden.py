@@ -1,9 +1,12 @@
 """Reproducibility guard: fixed CLI commands keep their exact CSV bodies.
 
 Each command's non-``#`` lines are hashed and compared with a recorded
-SHA-256 digest.  Every body here is exact rationals or integers (the
-simulate rows are the integer ``.runs.csv`` records), so the digests do not
-depend on the BLAS build; float CSVs are covered by the numeric tests.  A
+SHA-256 digest.  Most bodies are exact rationals or integers (the simulate
+rows are the integer ``.runs.csv`` records).  The float bodies here
+(float ``spectrum`` and ``local-times``) are pure-Python IEEE arithmetic,
+only + - * / on doubles with no BLAS and no libm call, so their digests
+are as portable as the exact ones; float ``propagate`` and
+``moments`` go through libm ``pow`` and are left to the numeric tests.  A
 change that moves any of these digests changes published output and must
 be declared, with the digest re-recorded.
 """
@@ -61,6 +64,18 @@ GOLDEN = {
     "local-times-64-delta-1": (
         ("local-times", "--n", "64", "--init", "delta:1"), None,
         "a1b202e7bc0e16a5b60a3fcd2066660aebfd19300507ac297d30a2c51a118a4d",
+    ),
+    "spectrum-70-float": (
+        ("spectrum", "--n", "70", "--mode", "float"), None,
+        "7680d30f9a307e063379ccc310aa439fb1dfd35af2ae19aeebde76999f574870",
+    ),
+    "local-times-120-uniform-float": (
+        ("local-times", "--n", "120", "--init", "uniform"), None,
+        "b3209a0172ab89beb7da70d11705245a709c67f9572a3f0266fc02735c0d2b5c",
+    ),
+    "local-times-136-delta-45-float": (
+        ("local-times", "--n", "136", "--init", "delta:45"), None,
+        "e0cc17cb998eba51aff9648be66611b23a5293b54b52eab53f24ff94d83a6e51",
     ),
     "simulate-complete-30": (
         ("simulate", "--topology", "complete:30", "--init", "delta:15", *SIM),

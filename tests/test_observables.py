@@ -207,8 +207,6 @@ class TestContinuum:
     def test_uniform_density_is_closed_form(self):
         for rho in (0.2, 0.5, 0.8):
             assert greens_local_time("uniform", rho, 120) == 60.0
-            # the quadrature route for a callable density agrees with it
-            assert greens_local_time(lambda xi: 1.0, rho, 120) == pytest.approx(60.0, rel=1e-12)
 
     def test_matches_discrete_local_times(self):
         # fixed-density start: the kernel predicts the exact local times

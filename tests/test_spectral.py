@@ -84,6 +84,19 @@ class TestBCoefficients:
         assert b[k] == 1
         assert all(b[j] == 0 for j in range(k))
 
+    def test_binomial_closed_form(self):
+        # the scale the eigenpair build clears b with: every
+        # C(N+k-1, N-k) * b_i is the integer C(i-1, k-1) C(N+k-1, N-i)
+        from math import comb
+
+        for N in range(2, 25):
+            for k in range(2, N + 1):
+                b = b_coefficients(N, k)
+                for i in range(k, N + 1):
+                    assert b[i] * comb(N + k - 1, N - k) == (
+                        comb(i - 1, k - 1) * comb(N + k - 1, N - i)
+                    )
+
     def test_out_of_range_k(self):
         with pytest.raises(IndexError):
             b_coefficients(6, 7)
