@@ -48,7 +48,6 @@ from .spectral import (
     b_coefficients,
     binomial_transform,
     build_decomposition,
-    eigenvalues,
     inverse_binomial_transform,
     to_coordinates,
 )

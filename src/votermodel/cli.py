@@ -9,6 +9,7 @@ byte-identical files.  Exit codes: 0 success, 1 validation failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -298,7 +299,9 @@ def cmd_validate(args):
     return 0 if all(r.passed for r in results) else 1
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on first use and reused by every main()."""
     parser = argparse.ArgumentParser(
         prog="votermodel",
         description="Exact spectral solutions and Monte Carlo simulation of the "

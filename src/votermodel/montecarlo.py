@@ -185,16 +185,23 @@ def _run_urn(N, n_a, cap, rng, track):
 
 
 def _run_nodes(topo, states, n_a, cap, rng):
-    """Bipartite and explicit graphs, node by node: (steps, final count)."""
+    """Bipartite and explicit graphs, node by node: (steps, final count).
+
+    Node i copies ``indices[indptr[i] + int(u * degrees[i])]`` for a
+    uniform u.  Explicit graphs use their CSR adjacency.  A bipartite graph
+    gets a two-segment table: ``indptr = [0]*N1 + [N2]*N2`` points each
+    group at the other group's segment of ``indices = [N1..N-1, 0..N1-1]``,
+    so the table has O(N) entries, not N1*N2.
+    """
     N = topo.N
-    kind = topo.kind
-    if kind == BIPARTITE:
-        n1 = topo.groups[0]
-        n2 = N - n1
+    if topo.kind == BIPARTITE:
+        n1, n2 = topo.groups
+        indptr = [0] * n1 + [n2] * n2
+        indices = [*range(n1, N), *range(n1)]
     else:
         indptr = list(topo.indptr)
         indices = list(topo.indices)
-        degrees = list(topo.degrees)
+    degrees = list(topo.degrees)
     steps = 0
     while 0 < n_a < N and steps < cap:
         take = min(_CHUNK, cap - steps)
@@ -202,10 +209,7 @@ def _run_nodes(topo, states, n_a, cap, rng):
         uniforms = rng.random(take).tolist()
         for t in range(take):
             i = nodes[t]
-            if kind == BIPARTITE:
-                j = n1 + int(uniforms[t] * n2) if i < n1 else int(uniforms[t] * n1)
-            else:
-                j = indices[indptr[i] + int(uniforms[t] * degrees[i])]
+            j = indices[indptr[i] + int(uniforms[t] * degrees[i])]
             sj = states[j]
             steps += 1
             if states[i] != sj:

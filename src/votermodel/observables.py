@@ -114,8 +114,8 @@ def s_coefficients(decomp, coords):
     """
     N = decomp.N
     return tuple(
-        coords.d[k] * (decomp.pairs[k].c[1] + decomp.pairs[k].c[N - 1])
-        for k in range(2, N + 1)
+        coords.d[pair.k] * (pair.num[1] + pair.num[N - 1]) / pair.den
+        for pair in decomp.pairs[2:]
     )
 
 

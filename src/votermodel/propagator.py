@@ -185,7 +185,7 @@ def _eigen_sum(decomp, weights):
         out = [0.0] * (N + 1)
         for w, pair in zip(weights, decomp.pairs):
             if w != 0:
-                out = [o + w * cj for o, cj in zip(out, pair.c)]
+                out = [o + w * cj for o, cj in zip(out, pair.num)]
         return tuple(out)
     terms = [
         (w, pair) for w, pair in zip(weights[2:], decomp.pairs[2:]) if w != 0

@@ -18,19 +18,20 @@ itself is kept only as the paper's Pascal route (:func:`b_coefficients`,
 :func:`binomial_transform`) for the tests to compare against.
 
 Everything is computed in integer arithmetic over that binomial scale.
-Exact mode turns the integers into Fractions and also keeps them, reduced
-over one denominator per pair, for the integer eigenvector sums of the
-propagator; float mode rounds each ratio once (Python's int true division
-is correctly rounded), so it gives the same doubles as rounding the exact
-Fractions.  The alternating signs of c make a direct floating-point
-evaluation useless for moderate N, so there is no "native float" pipeline
-on purpose.
+Exact mode stores each eigenvector once, as coprime integers over one
+denominator per pair, which the integer eigenvector sums of the propagator
+read; ``EigenPair.c`` builds the Fractions only when read.  Float mode
+rounds each ratio once (Python's int true division is correctly rounded),
+so it gives the same doubles as rounding the exact Fractions.  The
+alternating signs of c make a direct floating-point evaluation useless for
+moderate N, so there is no "native float" pipeline on purpose.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb, gcd, lcm
 from numbers import Integral
 
@@ -64,18 +65,24 @@ class NumericOverflowError(OverflowError, ValueError):
 
 @dataclass(frozen=True)
 class EigenPair:
-    """One eigenvalue with its macrostate-space eigenvector components c.
+    """One eigenvalue with its macrostate-space eigenvector, stored once.
 
-    Exact pairs also keep c as coprime integers over one denominator,
-    ``c_j = num[j] / den``, for the integer eigenvector sums of the
-    propagator; float pairs leave ``num`` as None.
+    The components are ``c_j = num[j] / den``: exact pairs keep coprime
+    integers over one positive denominator, float pairs keep the correctly
+    rounded doubles in ``num`` with ``den = 1``.
     """
 
     k: int
     lam: object
-    c: tuple
-    num: tuple = field(default=None, compare=False, repr=False)
-    den: int = field(default=1, compare=False, repr=False)
+    num: tuple
+    den: int
+
+    @cached_property
+    def c(self):
+        """The components c_j: ``num`` itself when den = 1, else Fractions."""
+        if self.den == 1:
+            return self.num
+        return tuple(Fraction(v, self.den) for v in self.num)
 
 
 @dataclass(frozen=True)
@@ -123,20 +130,6 @@ def _to_float(num, den, what):
 def eigenvalue(N, k):
     """Exact eigenvalue ``1 - k(k-1)/(N(N-1))`` as a Fraction."""
     return 1 - Fraction(k * (k - 1), N * (N - 1))
-
-
-def eigenvalues(N, mode=EXACT):
-    """All N+1 eigenvalues in index order k = 0..N.
-
-    k = 0, 1 give the doubly degenerate eigenvalue 1 (the two absorbing
-    states); k = N gives 0.
-    """
-    N = _check_population(N)
-    _check_mode(mode)
-    vals = [eigenvalue(N, k) for k in range(N + 1)]
-    if mode == FLOAT:
-        return tuple(float(v) for v in vals)
-    return tuple(vals)
 
 
 def b_coefficients(N, k):
@@ -209,13 +202,10 @@ def _make_pair(N, k, lam, c_ints, den, mode):
     """EigenPair with c = c_ints / den in ``mode``."""
     if mode == EXACT:
         g = gcd(den, *c_ints)
-        num, den = tuple(v // g for v in c_ints), den // g
-        return EigenPair(
-            k=k, lam=lam, c=tuple(Fraction(v, den) for v in num), num=num, den=den
-        )
+        return EigenPair(k=k, lam=lam, num=tuple(v // g for v in c_ints), den=den // g)
     what = f"eigenvector component (N={N}, k={k})"
     return EigenPair(
-        k=k, lam=float(lam), c=tuple(_to_float(v, den, what) for v in c_ints)
+        k=k, lam=float(lam), num=tuple(_to_float(v, den, what) for v in c_ints), den=1
     )
 
 

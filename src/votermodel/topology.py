@@ -3,8 +3,9 @@
 Provides degree moments, spectral-gap estimates, and the continuum
 consensus-time scales used both for Monte Carlo censoring caps and for
 the scaling validations.  Complete and bipartite graphs are stored
-implicitly (the simulator samples their neighbors arithmetically);
-explicit graphs carry a CSR adjacency.
+implicitly: the simulator runs the complete graph as an urn and builds a
+two-segment neighbor table for a bipartite graph per run.  Explicit graphs
+carry a CSR adjacency.
 """
 
 from __future__ import annotations

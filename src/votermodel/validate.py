@@ -58,10 +58,10 @@ def check_spectral_correctness():
     worst_resid = 0.0
     for N in range(2, 13):
         T = _dense_matrix(N)
-        dense = np.sort(np.linalg.eigvals(T).real)
-        closed = np.sort(np.array(sp.eigenvalues(N, sp.FLOAT)))
-        worst_eig = max(worst_eig, float(np.abs(dense - closed).max()))
         dec = sp.build_decomposition(N, sp.FLOAT)
+        dense = np.sort(np.linalg.eigvals(T).real)
+        closed = np.sort([pair.lam for pair in dec.pairs])
+        worst_eig = max(worst_eig, float(np.abs(dense - closed).max()))
         for pair in dec.pairs:
             c = np.array(pair.c)
             resid = np.abs(T @ c - pair.lam * c).max() / np.abs(c).max()

@@ -33,15 +33,26 @@ def data_rows(text):
     return lines[0], lines[1:]
 
 
-def test_import_leaves_scipy_out():
-    # the package itself never imports scipy; only the bench metrics do
+def fresh_python(probe):
+    """stdout of ``probe`` run in a new interpreter that imports this package."""
     src = str(Path(votermodel.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    probe = "import sys, votermodel.cli; print([m for m in sys.modules if m.startswith('scipy')])"
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_import_leaves_scipy_out():
+    # the package itself never imports scipy; only the bench metrics do
+    probe = "import sys, votermodel.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    assert fresh_python(probe) == "[]"
+
+
+def test_parser_is_built_once_on_first_use():
+    probe = "import votermodel.cli as c; print(c.build_parser.cache_info().currsize)"
+    assert fresh_python(probe) == "0"
+    assert cli.build_parser() is cli.build_parser()
 
 
 class TestSpectrum:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from votermodel import spectral
+from votermodel.validate import _dense_matrix as dense_matrix
 from votermodel import (
     EXACT,
     FLOAT,
@@ -17,7 +18,6 @@ from votermodel import (
     build_decomposition,
     delta_distribution,
     dense_oracle,
-    eigenvalues,
     inverse_binomial_transform,
     local_times_exact,
     local_times_oracle,
@@ -32,16 +32,9 @@ from votermodel import (
 )
 
 
-def dense_matrix(N):
-    p = np.array(transition_rates(N, FLOAT))
-    T = np.zeros((N + 1, N + 1))
-    for i in range(N + 1):
-        T[i, i] = 1.0 - 2.0 * p[i]
-        if i > 0:
-            T[i - 1, i] += p[i]
-        if i < N:
-            T[i + 1, i] += p[i]
-    return T
+def eigenvalues(N, mode=EXACT):
+    """The eigenvalues the decomposition stores, in k order."""
+    return tuple(pair.lam for pair in build_decomposition(N, mode).pairs)
 
 
 class TestEigenvalues:
@@ -71,7 +64,7 @@ class TestEigenvalues:
 
     def test_rejects_small_population(self):
         with pytest.raises(InvalidPopulationError):
-            eigenvalues(1)
+            build_decomposition(1)
 
 
 class TestBCoefficients:
@@ -299,13 +292,20 @@ class TestDifferential:
             assert pair.c == binomial_transform(b)
 
     @pytest.mark.parametrize("N", [2, 3, 17, 64])
-    def test_stored_integers_reconstruct_c(self, N):
+    def test_stored_integers_reconstruct_c(self, N, monkeypatch):
+        from dataclasses import fields
         from math import gcd
 
+        monkeypatch.setattr(spectral, "_pairs_cache", {})
         for pair in build_decomposition(N).pairs:
-            assert tuple(Fraction(v, pair.den) for v in pair.num) == pair.c
-            assert gcd(pair.den, *pair.num) == 1
-        assert all(pair.num is None for pair in build_decomposition(N, FLOAT).pairs)
+            # a fresh exact pair holds only its integers; c is built on read
+            assert [f.name for f in fields(pair)] == ["k", "lam", "num", "den"]
+            assert "c" not in vars(pair)
+            assert pair.den > 0 and gcd(pair.den, *pair.num) == 1
+            assert pair.c == tuple(Fraction(v, pair.den) for v in pair.num)
+        for pair in build_decomposition(N, FLOAT).pairs:
+            assert pair.den == 1
+            assert pair.c == pair.num
 
     @pytest.mark.parametrize("N", [5, 64, 100])
     def test_float_pairs_are_rounded_exact_pairs(self, N):
